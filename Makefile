@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test lint fmt vet clumsylint lint-self lint-mutation race bench fleet state clumsyd crashtest
+.PHONY: all build test lint fmt vet clumsylint lint-self lint-mutation race bench perfbench fleet state clumsyd crashtest
 
 all: build lint test
 
@@ -50,6 +50,14 @@ lint-mutation:
 # `go run ./cmd/clumsy bench -compare BENCH_0.json BENCH_1.json`.
 bench:
 	$(GO) run ./cmd/clumsy bench -quick -progress
+
+# perfbench runs the benchmark's own tests, then one short pass of every
+# workload (perfbench/README.md). The pass exits non-zero when any output
+# drifts from the committed seed-7 digests in perfbench/digests.json, so a
+# change that shifts a simulated result fails here.
+perfbench:
+	cd perfbench && $(GO) test ./...
+	bash perfbench/run.sh --workload all --seconds 1 --trace 0
 
 # fleet runs the fleet degradation study (faulty-node fraction sweep on the
 # virtual-time cluster simulator). `go run ./cmd/clumsy fleet -faulty N ...`

@@ -85,11 +85,11 @@ type Backend interface {
 // line is one cache line with per-word parity. The dead/strike fields
 // belong to the line-disable recovery action of the L1 data cache; other
 // levels never set them. A dead line is always invalid (disable
-// invalidates it), so the hit path needs no extra check. Every field is
-// part of the rollback surface: statecover requires the snapshot pair to
-// carry any field added here.
+// invalidates it), so the hit path needs no extra check. Every field
+// except the undo-log stamp is part of the rollback surface: statecover
+// requires the record/rollback pair to carry any field added here.
 //
-//lint:checkpoint snapshot, restore
+//lint:checkpoint record, rollback
 type line struct {
 	valid  bool
 	dirty  bool
@@ -103,14 +103,17 @@ type line struct {
 	pinned      bool   // disabled by experiment control; survives re-enable
 	strikes     uint32 // uncorrected strikes inside the current window
 	strikeTotal uint32 // cumulative uncorrected strikes (histogram)
-	strikeMark  uint64 // access clock at the start of the current window
 	epochMark   uint32 // last controller epoch this frame faulted in
+	strikeMark  uint64 // access clock at the start of the current window
+
+	//lint:ephemeral undo-log bookkeeping: the table epoch this frame's pre-image was logged in, not machine state
+	logged uint64
 }
 
 // table is the shared set-associative storage and lookup machinery used by
 // every cache level.
 //
-//lint:checkpoint snapshot, restore
+//lint:checkpoint commit, rollback
 type table struct {
 	cfg  Config
 	sets [][]line
@@ -119,6 +122,13 @@ type table struct {
 	//lint:ephemeral derived from the geometry at construction, never mutated
 	setMask uint32
 	tick    uint64
+
+	// epoch numbers the commits: a frame whose logged stamp equals it
+	// already has its pre-image in the log. log is nil until the first
+	// commit arms it, so a table that never serves as a restore point
+	// pays one nil check per mutation.
+	epoch uint64
+	log   *undoLog
 }
 
 func newTable(cfg Config) (*table, error) {
@@ -147,14 +157,15 @@ func (t *table) index(addr simmem.Addr) (set uint32, tag uint32) {
 	return blk & t.setMask, blk >> 0 // full block number as tag keeps lookups unambiguous
 }
 
-// lookup returns the way holding addr, or nil on a miss.
+// lookup returns the way holding addr, or nil on a miss. It only probes:
+// a caller that uses the way touches it and then makes it the most
+// recently used. (Logging and the LRU update stay out of lookup and
+// victim so both remain small enough to inline into the access path.)
 func (t *table) lookup(addr simmem.Addr) *line {
 	set, tag := t.index(addr)
 	ways := t.sets[set]
 	for w := range ways {
 		if ways[w].valid && ways[w].tag == tag {
-			t.tick++
-			ways[w].lru = t.tick
 			return &ways[w]
 		}
 	}
@@ -162,9 +173,9 @@ func (t *table) lookup(addr simmem.Addr) *line {
 }
 
 // victim returns the way to fill for addr (the invalid way if one exists,
-// otherwise the least recently used way). Dead ways are never allocated;
-// when every way of the set is dead, victim returns nil and the access
-// must bypass to the next level.
+// otherwise the least recently used way); the caller touches it before
+// the refill. Dead ways are never allocated; when every way of the set is
+// dead, victim returns nil and the access must bypass to the next level.
 func (t *table) victim(addr simmem.Addr) *line {
 	set, _ := t.index(addr)
 	ways := t.sets[set]
@@ -199,6 +210,7 @@ func (t *table) invalidateRange(addr simmem.Addr, n int) {
 		ways := t.sets[set]
 		for w := range ways {
 			if ways[w].valid && ways[w].tag == tag {
+				t.touch(&ways[w])
 				ways[w].valid = false
 				ways[w].dirty = false
 			}
@@ -225,6 +237,7 @@ func (t *table) flushRange(addr simmem.Addr, n int, sink func(simmem.Addr, []byt
 				if err := sink(a, ways[w].data); err != nil {
 					return err
 				}
+				t.touch(&ways[w])
 				ways[w].dirty = false
 			}
 		}
@@ -235,9 +248,22 @@ func (t *table) flushRange(addr simmem.Addr, n int, sink func(simmem.Addr, []byt
 	return nil
 }
 
-// lineState is the restorable bookkeeping of one cache line; the byte
-// payloads live in flat buffers of the tableSnap so repeated snapshots
-// reuse the same allocations.
+// invalidateAll drops every line (used between golden/faulty runs).
+func (t *table) invalidateAll() {
+	for s := range t.sets {
+		for w := range t.sets[s] {
+			ln := &t.sets[s][w]
+			if ln.valid || ln.dirty {
+				t.touch(ln)
+				ln.valid = false
+				ln.dirty = false
+			}
+		}
+	}
+}
+
+// lineState is the restorable bookkeeping of one logged frame; the byte
+// payloads live in the flat buffers of the undoLog.
 type lineState struct {
 	valid bool
 	dirty bool
@@ -255,87 +281,90 @@ type lineState struct {
 	epochMark   uint32
 }
 
-// tableSnap is a deep copy of a table's restorable state. Statistics and
-// energy are deliberately not part of it: a fault-containment rollback
-// rewinds the machine's contents, not its measurements.
-//
-//lint:checkpoint snapshot, restore
-type tableSnap struct {
-	meta []lineState
-	data []byte
-	par  []byte
-	enc  []uint32 // empty unless ECC storage is allocated
-	tick uint64
+// undoLog is a table's restore point, kept as the pre-images of the frames
+// mutated since the last commit rather than as a copy of the table:
+// commit is O(1) and rollback O(frames touched), as simmem.Checkpoint is
+// one level down at page granularity. Statistics and energy are
+// deliberately not logged: a fault-containment rollback rewinds the
+// machine's contents, not its measurements. The buffers are sized for
+// every frame of the table when the log is armed; a frame is logged at
+// most once per epoch, so n never exceeds the frame count and recording
+// never allocates.
+type undoLog struct {
+	tick   uint64 // table clock at the restore point
+	n      int    // frames logged this epoch
+	frames []*line
+	meta   []lineState
+	data   []byte
+	par    []byte
+	enc    []uint32 // empty unless ECC storage is allocated
 }
 
-// snapshot copies the table's full line state into snap, allocating it (or
-// its buffers) on first use. The returned value is snap, or a fresh
-// snapshot when snap is nil.
-func (t *table) snapshot(snap *tableSnap) *tableSnap {
-	nline := len(t.sets) * t.cfg.Assoc
-	bs := t.cfg.BlockSize
-	if snap == nil {
-		snap = &tableSnap{} //lint:alloc-ok first use only; the steady state reuses these buffers and the zero-alloc pin verifies it
+// touch logs ln's pre-image before its first mutation since the last
+// commit. Every write to a line is preceded by one: the levels' access
+// paths touch the way lookup or victim returned before updating or
+// refilling it, and the bulk walks (invalidate, flush, line disable and
+// re-enable) touch each frame they change.
+func (t *table) touch(ln *line) {
+	if t.log != nil && ln.logged != t.epoch {
+		ln.logged = t.epoch
+		t.log.record(ln)
 	}
-	if len(snap.meta) != nline {
-		snap.meta = make([]lineState, nline)  //lint:alloc-ok first use only; the steady state reuses these buffers and the zero-alloc pin verifies it
-		snap.data = make([]byte, nline*bs)    //lint:alloc-ok first use only; the steady state reuses these buffers and the zero-alloc pin verifies it
-		snap.par = make([]byte, nline*(bs/4)) //lint:alloc-ok first use only; the steady state reuses these buffers and the zero-alloc pin verifies it
-	}
-	i := 0
-	for s := range t.sets {
-		for w := range t.sets[s] {
-			ln := &t.sets[s][w]
-			snap.meta[i] = lineState{valid: ln.valid, dirty: ln.dirty, tag: ln.tag, lru: ln.lru,
-				dead: ln.dead, pinned: ln.pinned, strikes: ln.strikes,
-				strikeTotal: ln.strikeTotal, strikeMark: ln.strikeMark, epochMark: ln.epochMark}
-			copy(snap.data[i*bs:], ln.data)
-			copy(snap.par[i*(bs/4):], ln.parity)
-			if ln.enc != nil {
-				if len(snap.enc) != nline*(bs/4) {
-					snap.enc = make([]uint32, nline*(bs/4)) //lint:alloc-ok first use only; the steady state reuses these buffers and the zero-alloc pin verifies it
-				}
-				copy(snap.enc[i*(bs/4):], ln.enc)
-			}
-			i++
-		}
-	}
-	snap.tick = t.tick
-	return snap
 }
 
-// restore copies a snapshot taken from this table back into it. The table
-// afterwards holds exactly the lines, payloads, and LRU state of the
-// snapshot moment.
-func (t *table) restore(snap *tableSnap) {
-	bs := t.cfg.BlockSize
-	i := 0
-	for s := range t.sets {
-		for w := range t.sets[s] {
-			ln := &t.sets[s][w]
-			st := snap.meta[i]
-			ln.valid, ln.dirty, ln.tag, ln.lru = st.valid, st.dirty, st.tag, st.lru
-			ln.dead, ln.pinned, ln.strikes = st.dead, st.pinned, st.strikes
-			ln.strikeTotal, ln.strikeMark, ln.epochMark = st.strikeTotal, st.strikeMark, st.epochMark
-			copy(ln.data, snap.data[i*bs:(i+1)*bs])
-			copy(ln.parity, snap.par[i*(bs/4):(i+1)*(bs/4)])
-			if ln.enc != nil && len(snap.enc) > 0 {
-				copy(ln.enc, snap.enc[i*(bs/4):(i+1)*(bs/4)])
-			}
-			i++
-		}
+// record appends ln's current state to the log.
+func (l *undoLog) record(ln *line) {
+	i := l.n
+	l.n++
+	l.frames[i] = ln
+	l.meta[i] = lineState{valid: ln.valid, dirty: ln.dirty, tag: ln.tag, lru: ln.lru,
+		dead: ln.dead, pinned: ln.pinned, strikes: ln.strikes,
+		strikeTotal: ln.strikeTotal, strikeMark: ln.strikeMark, epochMark: ln.epochMark}
+	bs, ws := len(ln.data), len(ln.parity)
+	copy(l.data[i*bs:], ln.data)
+	copy(l.par[i*ws:], ln.parity)
+	if ln.enc != nil {
+		copy(l.enc[i*ws:], ln.enc)
 	}
-	t.tick = snap.tick
 }
 
-// invalidateAll drops every line (used between golden/faulty runs).
-func (t *table) invalidateAll() {
-	for s := range t.sets {
-		for w := range t.sets[s] {
-			t.sets[s][w].valid = false
-			t.sets[s][w].dirty = false
+// commit makes the table's current state its restore point, arming the
+// undo log on first use. Bumping the epoch un-logs every frame at once.
+func (t *table) commit() {
+	if t.log == nil {
+		n, bs, ws := len(t.sets)*t.cfg.Assoc, t.cfg.BlockSize, t.cfg.BlockSize/4
+		encWords := 0
+		if t.sets[0][0].enc != nil {
+			encWords = n * ws
+		}
+		//lint:alloc-ok arming: the log's one allocation, sized so recording never grows it; the zero-alloc pin verifies the steady state
+		t.log = &undoLog{frames: make([]*line, n), meta: make([]lineState, n), data: make([]byte, n*bs), par: make([]byte, n*ws), enc: make([]uint32, encWords)}
+	}
+	t.log.tick = t.tick
+	t.log.n = 0
+	t.epoch++
+}
+
+// rollback returns every frame logged since the last commit to its
+// pre-image and the clock to its commit value. Unlogged frames were not
+// mutated, so afterwards the table equals its restore point exactly.
+func (t *table) rollback() {
+	l := t.log
+	for i, ln := range l.frames[:l.n] {
+		st := &l.meta[i]
+		ln.valid, ln.dirty, ln.tag, ln.lru = st.valid, st.dirty, st.tag, st.lru
+		ln.dead, ln.pinned, ln.strikes = st.dead, st.pinned, st.strikes
+		ln.strikeTotal, ln.strikeMark, ln.epochMark = st.strikeTotal, st.strikeMark, st.epochMark
+		bs, ws := len(ln.data), len(ln.parity)
+		copy(ln.data, l.data[i*bs:(i+1)*bs])
+		copy(ln.parity, l.par[i*ws:(i+1)*ws])
+		if ln.enc != nil {
+			copy(ln.enc, l.enc[i*ws:(i+1)*ws])
 		}
 	}
+	t.tick = l.tick
+	l.n = 0
+	t.epoch++
 }
 
 // wordParity returns the even-parity bit of a 32-bit word.

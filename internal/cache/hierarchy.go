@@ -119,42 +119,61 @@ func (h *Hierarchy) CoherentDMA(addr simmem.Addr, data []byte) error {
 	return h.DMA(addr, data)
 }
 
-// Snapshot is a deep copy of the restorable state of every cache level —
-// line payloads, tags, valid/dirty bits, parity/ECC check bits, and LRU
-// order. Together with a simmem.Checkpoint of the backing space it captures
-// the complete architectural memory state of the machine; statistics and
-// energy accounting are excluded (a rollback rewinds contents, not
-// measurements). Snapshots must be restored into the hierarchy they were
-// taken from.
+// Snapshot is a handle on the hierarchy's restore point: the restorable
+// state of every cache level — line payloads, tags, valid/dirty bits,
+// parity/ECC check bits, LRU order, and the line-disable bookkeeping — as
+// of the last Snapshot call. Together with a simmem.Checkpoint of the
+// backing space it captures the complete architectural memory state of
+// the machine; statistics and energy accounting are excluded (a rollback
+// rewinds contents, not measurements).
+//
+// Nothing is copied when the restore point is taken. Each level keeps an
+// undo log instead: the first mutation of a frame after the restore point
+// saves that frame's pre-image, so Snapshot costs O(1) and RestoreSnapshot
+// costs O(frames touched since the snapshot). A hierarchy keeps only its
+// latest restore point: every handle taken from it refers to that one, and
+// a handle must be restored into the hierarchy it was taken from.
 type Snapshot struct {
-	l1d, l1i, l2 *tableSnap
+	h *Hierarchy
 }
 
-// Snapshot copies the current cache state into snap, reusing its buffers
-// when possible; pass nil to allocate a fresh one. Taking a snapshot has no
-// architectural effect — no accesses, write-backs, stats, or energy.
+// Snapshot makes the current cache state the hierarchy's restore point and
+// returns snap, or a fresh handle when snap is nil. The first call arms
+// the undo logs; until then cache accesses log nothing. Taking a snapshot
+// has no architectural effect — no accesses, write-backs, stats, or
+// energy.
 //
 //lint:hot-path
 func (h *Hierarchy) Snapshot(snap *Snapshot) *Snapshot {
 	if snap == nil {
-		snap = &Snapshot{} //lint:alloc-ok first use only; the steady state reuses these buffers and the zero-alloc pin verifies it
+		snap = &Snapshot{h: h} //lint:alloc-ok first use only; the steady state reuses the handle and the zero-alloc pin verifies it
+	} else if snap.h != h {
+		panic("cache: Snapshot handle taken from another hierarchy")
 	}
-	snap.l1d = h.L1D.tab.snapshot(snap.l1d)
-	snap.l1i = h.L1I.tab.snapshot(snap.l1i)
-	snap.l2 = h.L2.tab.snapshot(snap.l2)
+	h.L1D.tab.commit()
+	h.L1I.tab.commit()
+	h.L2.tab.commit()
 	return snap
 }
 
-// RestoreSnapshot copies a snapshot back into the hierarchy. Afterwards
-// every level holds exactly the lines it held at the snapshot moment, so a
+// RestoreSnapshot rolls the hierarchy back to its restore point. Afterwards
+// every level holds exactly the lines it held at the last Snapshot, so a
 // continuation reads the same values — including the same hit/miss and
 // write-back behaviour — as an execution that never deviated after it.
+// The restore point stays in place, so it can be rolled back to again.
+// Restoring a nil handle, or one taken from another hierarchy, panics.
 //
 //lint:hot-path
 func (h *Hierarchy) RestoreSnapshot(snap *Snapshot) {
-	h.L1D.tab.restore(snap.l1d)
-	h.L1I.tab.restore(snap.l1i)
-	h.L2.tab.restore(snap.l2)
+	switch {
+	case snap == nil:
+		panic("cache: RestoreSnapshot of a nil snapshot")
+	case snap.h != h:
+		panic("cache: RestoreSnapshot of a snapshot taken from another hierarchy")
+	}
+	h.L1D.tab.rollback()
+	h.L1I.tab.rollback()
+	h.L2.tab.rollback()
 	h.L1D.syncDisabled()
 }
 

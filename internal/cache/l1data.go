@@ -69,8 +69,8 @@ type EnergyWeights struct {
 // L1Data is the clumsy level-1 data cache: write-back, write-allocate,
 // frequency-scaled, fault-injected, optionally parity-protected with
 // k-strike recovery. It implements simmem.Memory, so applications run on it
-// unchanged. The rollback surface is the line table (deep-copied by the
-// hierarchy snapshot) plus the disabled-frame count (recounted by
+// unchanged. The rollback surface is the line table (undo-logged between
+// hierarchy snapshots) plus the disabled-frame count (recounted by
 // syncDisabled — the PR 5 restore bug this annotation now pins); every
 // other field documents why it survives a rollback.
 //
@@ -238,6 +238,7 @@ func (c *L1Data) ForceDisable(frac float64) {
 			}
 			ln := &c.tab.sets[s][w]
 			if !ln.dead {
+				c.tab.touch(ln)
 				ln.dead = true
 				ln.pinned = true
 				ln.valid = false
@@ -334,6 +335,7 @@ func (c *L1Data) reenableAll() {
 		for w := range c.tab.sets[s] {
 			ln := &c.tab.sets[s][w]
 			if ln.dead && !ln.pinned {
+				c.tab.touch(ln)
 				ln.dead = false
 				ln.strikes = 0
 				c.deadLines--
@@ -477,6 +479,9 @@ func (c *L1Data) chargeFillDrive() { c.Energy.WriteSwing += c.vsr }
 // stalls land in the recovery bucket instead of the L2/memory split.
 func (c *L1Data) ensure(addr simmem.Addr, isWrite, recovering bool) (*line, error) {
 	if ln := c.tab.lookup(addr); ln != nil {
+		c.tab.touch(ln)
+		c.tab.tick++
+		ln.lru = c.tab.tick
 		return ln, nil
 	}
 	if isWrite {
@@ -488,6 +493,7 @@ func (c *L1Data) ensure(addr simmem.Addr, isWrite, recovering bool) (*line, erro
 	if victim == nil {
 		return nil, nil
 	}
+	c.tab.touch(victim)
 	if victim.valid && victim.dirty {
 		// A dirty line carries values that may have been corrupted by a
 		// write-path fault; writing it back is the paper's path by which

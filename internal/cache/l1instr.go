@@ -45,10 +45,14 @@ func NewL1Instr(cfg Config, next Backend) (*L1Instr, error) {
 func (c *L1Instr) Fetch(pc simmem.Addr) error {
 	c.Stats.Reads++
 	if ln := c.tab.lookup(pc); ln != nil {
+		c.tab.touch(ln)
+		c.tab.tick++
+		ln.lru = c.tab.tick
 		return nil
 	}
 	c.Stats.ReadMisses++
 	victim := c.tab.victim(pc)
+	c.tab.touch(victim)
 	base := c.tab.lineBase(pc)
 	cyc, err := c.next.FetchLine(base, victim.data)
 	if err != nil {

@@ -74,6 +74,9 @@ func NewL2(cfg Config, next Backend) (*L2, error) {
 // the stall cycles spent below this level.
 func (c *L2) ensure(addr simmem.Addr, isWrite bool) (*line, float64, error) {
 	if ln := c.tab.lookup(addr); ln != nil {
+		c.tab.touch(ln)
+		c.tab.tick++
+		ln.lru = c.tab.tick
 		return ln, 0, nil
 	}
 	if isWrite {
@@ -82,6 +85,7 @@ func (c *L2) ensure(addr simmem.Addr, isWrite bool) (*line, float64, error) {
 		c.Stats.ReadMisses++
 	}
 	victim := c.tab.victim(addr)
+	c.tab.touch(victim)
 	var cycles float64
 	if victim.valid && victim.dirty {
 		c.Stats.Writebacks++

@@ -741,11 +741,12 @@ func runOnce(cfg Config, trace *packet.Trace, inj *injection, budget uint64) (*o
 
 	// Checkpoint the post-setup state before the injector is re-enabled.
 	// The restore point is the complete architectural memory state — the
-	// backing space (dirty-page granular) plus a deep copy of every cache
-	// level — so a rolled-back execution continues bit-exactly as if the
-	// failed packet had never run: same values, same hits and misses, same
-	// write-back order. Neither the checkpoint nor the per-packet commits
-	// touch the simulated machine, which keeps drop-policy runs without
+	// backing space (dirty-page granular) plus every cache level (a
+	// line-granular undo log) — so a rolled-back execution continues
+	// bit-exactly as if the failed packet had never run: same values, same
+	// hits and misses, same write-back order. The space commit costs the
+	// pages the packet dirtied and the cache commit is O(1); neither
+	// touches the simulated machine, which keeps drop-policy runs without
 	// fatal errors identical to abort-policy runs.
 	var ckpt *simmem.Checkpoint
 	var cacheState *cache.Snapshot
@@ -999,9 +1000,16 @@ func finish(out *onceResult, eng *engine, h *cache.Hierarchy, cfg Config, ctrl *
 // on a corrupted address, a traversal cycle, a watchdog trip, or a
 // contained application panic) rather than a simulator bug.
 func isFatal(err error) bool {
+	return errors.Is(err, ErrWatchdog) || errors.Is(err, radix.ErrLoop) ||
+		errors.Is(err, ErrAppPanic) || isTrap(err)
+}
+
+// isTrap reports whether err wraps a simmem.AccessError. It is split from
+// isFatal because the errors.As target escapes to the heap: kept apart,
+// only traps pay that allocation, and a watchdog drop allocates nothing.
+func isTrap(err error) bool {
 	var ae *simmem.AccessError
-	return errors.As(err, &ae) || errors.Is(err, ErrWatchdog) ||
-		errors.Is(err, radix.ErrLoop) || errors.Is(err, ErrAppPanic)
+	return errors.As(err, &ae)
 }
 
 // dmaPacket places one packet (header + payload) into fresh, line-aligned

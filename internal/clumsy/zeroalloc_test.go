@@ -27,6 +27,7 @@ type zeroallocRig struct {
 	cacheState *cache.Snapshot
 	guard      *stateGuard
 	next       int
+	contained  int // packets dropped and rolled back
 }
 
 // newZeroallocRig builds the rig exactly as runOnce does for the given
@@ -34,10 +35,14 @@ type zeroallocRig struct {
 // detection with a two-strike retry budget, and the degrade policy arming
 // line disable. Stateful apps additionally get the state guard with a
 // short scrub interval, so the integrity ladder and the periodic scrub
-// are inside the measured loop. The watchdog stays unarmed and the fault
-// scale moderate, so the defensive applications never die and every
-// measured packet takes the success path (recovery stalls included).
-func newZeroallocRig(t *testing.T, appName string, policy RecoveryPolicy, regime FaultRegime) *zeroallocRig {
+// are inside the measured loop. A watchdogFactor of 0 leaves the watchdog
+// unarmed; at a moderate fault scale the defensive applications then never
+// die and every measured packet takes the success path (recovery stalls
+// included). A positive factor arms it at that multiple of the worst
+// packet of a fault-free pass over the trace (runOnce's budget rule,
+// measured on the rig's own machine), so at a fault scale where packets
+// die a contained drop pays its restore rather than an unbounded spin.
+func newZeroallocRig(t *testing.T, appName string, policy RecoveryPolicy, regime FaultRegime, scale, watchdogFactor float64) *zeroallocRig {
 	t.Helper()
 	app, err := apps.New(appName)
 	if err != nil {
@@ -48,7 +53,7 @@ func newZeroallocRig(t *testing.T, appName string, policy RecoveryPolicy, regime
 		t.Fatal(err)
 	}
 	space := simmem.NewSpace(autoSpaceBytes(trace))
-	model := fault.NewModel(25)
+	model := fault.NewModel(scale)
 	seedRNG := fault.NewRNG(7)
 	var proc fault.Process
 	switch regime {
@@ -87,6 +92,22 @@ func newZeroallocRig(t *testing.T, appName string, policy RecoveryPolicy, regime
 		r.guard = newStateGuard(sa.StateTable(), h, nil, eng, Config{ScrubInterval: 16})
 		r.guard.st.CommitShadow()
 	}
+	if watchdogFactor > 0 {
+		var worst uint64
+		for i := range trace.Packets {
+			p := &trace.Packets[i]
+			buf, err := dmaPacket(h, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng.beginPacket()
+			if err := processPacket(app, ctx, p, buf); err != nil {
+				t.Fatalf("fault-free packet %d: %v", i, err)
+			}
+			worst = max(worst, eng.packetInstrs())
+		}
+		eng.budget = uint64(watchdogFactor * float64(worst))
+	}
 	if policy != RecoverAbort {
 		r.ckpt = space.NewCheckpoint()
 		t.Cleanup(r.ckpt.Release)
@@ -97,11 +118,13 @@ func newZeroallocRig(t *testing.T, appName string, policy RecoveryPolicy, regime
 }
 
 // step runs one packet through the steady-state loop: DMA, execution, and
-// — for the containing policies — the checkpoint commit plus the
-// buffer-reusing cache snapshot that advance the restore point. The
-// recorder's EndPacket is deliberately excluded: it is measurement
-// harness, not simulated machine, and its per-packet observation reset
-// allocates by design.
+// — for the containing policies — the checkpoint commit plus the cache
+// snapshot that advance the restore point. A fatal error under a
+// containing policy is handled as runOnce handles it: the watchdog burn,
+// the rollback of the space and the caches, the flow-state shadow
+// restore, and the scratch reset. The recorder's EndPacket and DropPacket
+// are deliberately excluded: they are measurement harness, not simulated
+// machine, and their per-packet record handling allocates by design.
 func (r *zeroallocRig) step() error {
 	p := &r.trace.Packets[r.next%len(r.trace.Packets)]
 	r.next++
@@ -114,7 +137,22 @@ func (r *zeroallocRig) step() error {
 		r.guard.packet = r.next - 1
 	}
 	if err := processPacket(r.app, r.ctx, p, buf); err != nil {
-		return err
+		if r.ckpt == nil || !isFatal(err) {
+			return err
+		}
+		if r.eng.budget > 0 {
+			r.eng.burnWatchdog(r.eng.budget)
+		}
+		r.ckpt.Restore()
+		r.h.RestoreSnapshot(r.cacheState)
+		if r.guard != nil {
+			r.guard.st.RestoreShadow()
+		}
+		if sr, ok := r.app.(apps.ScratchResetter); ok {
+			sr.ResetScratch()
+		}
+		r.contained++
+		return nil
 	}
 	if r.guard != nil && r.guard.scrubDue(r.next) {
 		if err := r.guard.scrubPass(r.ctx.Mem, r.next-1); err != nil {
@@ -165,7 +203,7 @@ func TestSteadyStatePacketLoopZeroAlloc(t *testing.T) {
 						// removes the faulty line and yields a steady state.
 						t.Skip("permanent faults in flow state are terminal without line disable")
 					}
-					r := newZeroallocRig(t, appName, p.pol, g.reg)
+					r := newZeroallocRig(t, appName, p.pol, g.reg, 25, 0)
 					for i := 0; i < 200; i++ {
 						if err := r.step(); err != nil {
 							t.Fatalf("warm-up packet %d: %v", i, err)
@@ -193,5 +231,51 @@ func TestSteadyStatePacketLoopZeroAlloc(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// TestContainedPacketLoopZeroAlloc pins the rollback path at zero heap
+// allocations per packet: drr under degrade in the burst regime with the
+// watchdog at 10x, like the restore-heavy run of the benchmark's
+// run-contain workload, but at FaultScale 1000 so that packets of the
+// rig's short trace die and are contained inside the measured window,
+// interleaving commits with restores of the space and the caches.
+func TestContainedPacketLoopZeroAlloc(t *testing.T) {
+	r := newZeroallocRig(t, "drr", RecoverDegrade, RegimeBurst, 1000, 10)
+	for i := 0; i < 200; i++ {
+		if err := r.step(); err != nil {
+			t.Fatalf("warm-up packet %d: %v", i, err)
+		}
+	}
+	before := r.contained
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := r.step(); err != nil {
+			t.Fatalf("measured packet: %v", err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("packet loop with contained drops allocates %.2f times per packet, want 0", allocs)
+	}
+	// Self-check: the measured window must contain rollbacks, or a zero
+	// result says nothing about the restore path.
+	if r.contained == before {
+		t.Fatal("no packet was contained in the measured window; the rollback path is unexercised")
+	}
+
+	// The per-packet average rounds a rare allocation away, so pin the
+	// rollback itself exactly: every iteration dirties every L1D frame
+	// and a run of L2 frames, then rolls the space and the caches back.
+	base := simmem.PageBase
+	allocs = testing.AllocsPerRun(100, func() {
+		for off := simmem.Addr(0); off < 16*1024; off += 32 {
+			if err := r.h.L1D.Store32(base+off, uint32(off)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		r.ckpt.Restore()
+		r.h.RestoreSnapshot(r.cacheState)
+	})
+	if allocs != 0 {
+		t.Errorf("rollback of a fully dirtied hierarchy allocates %.2f times, want 0", allocs)
 	}
 }
