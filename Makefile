@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test lint fmt vet clumsylint lint-self lint-mutation race bench perfbench fleet state clumsyd crashtest
+.PHONY: all build test lint fmt vet clumsylint lint-self lint-mutation race bench microbench perfbench fleet state clumsyd crashtest
 
 all: build lint test
 
@@ -50,6 +50,12 @@ lint-mutation:
 # `go run ./cmd/clumsy bench -compare BENCH_0.json BENCH_1.json`.
 bench:
 	$(GO) run ./cmd/clumsy bench -quick -progress
+
+# microbench runs every Go micro benchmark under internal/ once: a check
+# that each still builds and runs, not a measurement. Drop -benchtime 1x
+# (or raise it) to measure; the allocs/op columns are exact either way.
+microbench:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/...
 
 # perfbench runs the benchmark's own tests, then one short pass of every
 # workload (perfbench/README.md). The pass exits non-zero when any output

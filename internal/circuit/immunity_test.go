@@ -2,6 +2,7 @@ package circuit
 
 import (
 	"math"
+	"sync"
 	"testing"
 )
 
@@ -10,6 +11,34 @@ func TestDefaultCellCalibration(t *testing.T) {
 	got := c.FaultProbabilityAtSwing(1)
 	if math.Abs(got-BaseFaultProbability)/BaseFaultProbability > 1e-6 {
 		t.Fatalf("P_E(Vsr=1) = %.4g, want %.4g", got, BaseFaultProbability)
+	}
+}
+
+// TestDefaultCellPinned pins the calibrated margin bit for bit to the
+// value every committed result was produced with, checks that the cached
+// cell equals a fresh calibration, and calls DefaultCell from several
+// goroutines at once so the race detector covers the once-path.
+func TestDefaultCellPinned(t *testing.T) {
+	const wantMargin = 0x3fdc8d99577609f6
+	cells := make([]Cell, 8)
+	var wg sync.WaitGroup
+	for i := range cells {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			cells[i] = DefaultCell()
+		}()
+	}
+	wg.Wait()
+	fresh := Cell{Margin: 0.5, Gamma: 0.4, Tau: 0.01}
+	fresh.Calibrate(BaseFaultProbability)
+	for i, c := range cells {
+		if got := math.Float64bits(c.Margin); got != wantMargin {
+			t.Fatalf("goroutine %d: DefaultCell().Margin bits = %#x, want %#x", i, got, uint64(wantMargin))
+		}
+		if c != fresh {
+			t.Fatalf("goroutine %d: DefaultCell() = %+v, fresh calibration = %+v", i, c, fresh)
+		}
 	}
 }
 

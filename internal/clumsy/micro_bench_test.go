@@ -1,6 +1,15 @@
 package clumsy
 
-import "testing"
+import (
+	"testing"
+
+	"clumsy/internal/apps"
+	"clumsy/internal/cache"
+	"clumsy/internal/fault"
+	"clumsy/internal/metrics"
+	"clumsy/internal/packet"
+	"clumsy/internal/simmem"
+)
 
 // BenchmarkRunRoute measures the end-to-end simulation rate: a full
 // golden+clumsy pair over a 500-packet route workload per iteration.
@@ -16,4 +25,41 @@ func BenchmarkRunRoute(b *testing.B) {
 			b.Fatal("short run")
 		}
 	}
+}
+
+// BenchmarkNewCheckpoint measures taking the drop policy's restore point
+// of the simulated space right after the route control plane has built
+// its tables, as runOnce does before the first packet. Only resident
+// pages are copied, and the write-back caches still hold most of what
+// Setup stored.
+func BenchmarkNewCheckpoint(b *testing.B) {
+	app, err := apps.New("route")
+	if err != nil {
+		b.Fatal(err)
+	}
+	trace, err := packet.Generate(app.TraceConfig(500, 7))
+	if err != nil {
+		b.Fatal(err)
+	}
+	space := simmem.NewSpace(autoSpaceBytes(trace))
+	proc := fault.NewInjector(fault.NewModel(1), fault.NewRNG(7), 32)
+	proc.SetEnabled(false)
+	h, err := cache.NewHierarchyWith(space, proc, cache.DetectionParity, 2, cache.HierarchyConfig{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng, err := newEngine(h, appBlocks)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := &apps.Context{Space: space, Mem: dataMemory{eng}, Rec: metrics.NewRecorder(), Exec: eng}
+	if err := app.Setup(ctx, trace); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		space.NewCheckpoint().Release()
+	}
+	b.ReportMetric(float64(space.ResidentPages()), "resident_pages")
 }

@@ -1033,7 +1033,7 @@ func dmaPacket(h *cache.Hierarchy, p *packet.Packet) (simmem.Addr, error) {
 			return 0, err
 		}
 		if len(p.Raw) > 0 {
-			if err := h.DMA(buf, p.Raw); err != nil { //lint:alloc-ok DMA allocates only its fault-diagnostic AccessError
+			if err := h.DMA(buf, p.Raw); err != nil { //lint:alloc-ok DMA allocates its fault-diagnostic AccessError and a simulated page on first touch; TestPacketLoopAllocsArePageMaterialisations counts every one
 				return 0, err
 			}
 		}
@@ -1045,11 +1045,11 @@ func dmaPacket(h *cache.Hierarchy, p *packet.Packet) (simmem.Addr, error) {
 		return 0, err
 	}
 	hdr := p.Header()
-	if err := h.DMA(buf, hdr[:]); err != nil { //lint:alloc-ok DMA allocates only its fault-diagnostic AccessError
+	if err := h.DMA(buf, hdr[:]); err != nil { //lint:alloc-ok DMA allocates its fault-diagnostic AccessError and a simulated page on first touch; TestPacketLoopAllocsArePageMaterialisations counts every one
 		return 0, err
 	}
 	if len(p.Payload) > 0 {
-		if err := h.DMA(buf+packet.HeaderLen, p.Payload); err != nil { //lint:alloc-ok DMA allocates only its fault-diagnostic AccessError
+		if err := h.DMA(buf+packet.HeaderLen, p.Payload); err != nil { //lint:alloc-ok DMA allocates its fault-diagnostic AccessError and a simulated page on first touch; TestPacketLoopAllocsArePageMaterialisations counts every one
 			return 0, err
 		}
 	}

@@ -8,6 +8,10 @@
 // paper instruments: a flipped pointer bit sends a lookup into unrelated
 // memory or out of bounds (a fatal error), a flipped payload bit silently
 // changes a checksum or TTL.
+//
+// The space is a table of PageSize pages that materialise lazily: a page
+// no store has reached reads as zeros and costs one nil pointer, so a run
+// pays for the memory it touches rather than for the size of the space.
 package simmem
 
 import (
@@ -49,30 +53,63 @@ type Memory interface {
 	Store32(a Addr, v uint32) error
 }
 
-// Space is the backing store: a flat byte array with a bump allocator.
-// When a Checkpoint is active, every store additionally marks the written
-// page in the dirty bitmap (see checkpoint.go); dirty is nil otherwise.
-// Every field is carried across a rollback by the checkpoint machinery;
-// the statecover analyzer keeps it that way.
+// Space is the backing store: a table of lazily materialised pages with a
+// bump allocator. A nil page reads as zeros; the first store or WriteBlock
+// that reaches it allocates it. Bounds are checked against the byte size,
+// not the page table, so a size that is not a multiple of PageSize traps
+// exactly where a flat array of that size would. When a Checkpoint is
+// active, every store additionally marks the written page in the dirty
+// bitmap (see checkpoint.go); dirty is nil otherwise. Every other field is
+// carried across a rollback by the checkpoint machinery; the statecover
+// analyzer keeps it that way.
 //
 //lint:checkpoint NewCheckpoint, Commit, Restore
 type Space struct {
-	data  []byte
+	pages []*[PageSize]byte
+	//lint:ephemeral extent of the space, immutable after construction
+	size  int
 	brk   Addr
 	dirty []uint64
 }
 
 // NewSpace creates a space of the given size in bytes. The size must cover
-// at least the unmapped first page plus some usable memory.
+// at least the unmapped first page plus some usable memory. No page is
+// allocated until it is first written.
 func NewSpace(size int) *Space {
 	if size <= int(PageBase) {
 		panic("simmem: space smaller than the unmapped page")
 	}
-	return &Space{data: make([]byte, size), brk: PageBase}
+	return &Space{pages: make([]*[PageSize]byte, (size+PageSize-1)>>PageShift), size: size, brk: PageBase}
 }
 
 // Size returns the extent of the space in bytes.
-func (s *Space) Size() int { return len(s.data) }
+func (s *Space) Size() int { return s.size }
+
+// ResidentPages returns the number of materialised pages. Each one was one
+// heap allocation, made by the first write that reached it.
+func (s *Space) ResidentPages() int { return countResident(s.pages) }
+
+// countResident counts the non-nil pages of a page table.
+func countResident(pages []*[PageSize]byte) int {
+	n := 0
+	for _, p := range pages {
+		if p != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// page returns the page holding a, materialising it on first use. The
+// caller has bounds-checked a.
+func (s *Space) page(a Addr) *[PageSize]byte {
+	p := s.pages[a>>PageShift]
+	if p == nil {
+		p = new([PageSize]byte)
+		s.pages[a>>PageShift] = p
+	}
+	return p
+}
 
 // Brk returns the current allocation frontier.
 func (s *Space) Brk() Addr { return s.brk }
@@ -88,8 +125,8 @@ func (s *Space) Alloc(size, align int) (Addr, error) {
 	}
 	base := (uint64(s.brk) + uint64(align) - 1) &^ (uint64(align) - 1)
 	end := base + uint64(size)
-	if end > uint64(len(s.data)) {
-		return 0, fmt.Errorf("simmem: out of memory (need %d bytes at %#x, space %d)", size, base, len(s.data))
+	if end > uint64(s.size) {
+		return 0, fmt.Errorf("simmem: out of memory (need %d bytes at %#x, space %d)", size, base, s.size)
 	}
 	s.brk = Addr(end)
 	return Addr(base), nil
@@ -114,7 +151,7 @@ func (s *Space) check(op string, a Addr, width int) error {
 	if a < PageBase {
 		return &AccessError{Op: op, Addr: a, Reason: "address in unmapped page"}
 	}
-	if uint64(a)+uint64(width) > uint64(len(s.data)) {
+	if uint64(a)+uint64(width) > uint64(s.size) {
 		return &AccessError{Op: op, Addr: a, Reason: "address beyond end of space"}
 	}
 	return nil
@@ -131,7 +168,11 @@ func (s *Space) Load8(a Addr) (uint8, error) {
 	if err := s.check("load8", a, 1); err != nil {
 		return 0, err
 	}
-	return s.data[a], nil
+	p := s.pages[a>>PageShift]
+	if p == nil {
+		return 0, nil
+	}
+	return p[a&pageMask], nil
 }
 
 // Store8 writes one byte.
@@ -140,7 +181,7 @@ func (s *Space) Store8(a Addr, v uint8) error {
 		return err
 	}
 	s.markDirty(a, 1)
-	s.data[a] = v
+	s.page(a)[a&pageMask] = v
 	return nil
 }
 
@@ -150,7 +191,11 @@ func (s *Space) Load16(a Addr) (uint16, error) {
 	if err := s.check("load16", a, 2); err != nil {
 		return 0, err
 	}
-	return binary.LittleEndian.Uint16(s.data[a:]), nil
+	p := s.pages[a>>PageShift]
+	if p == nil {
+		return 0, nil
+	}
+	return binary.LittleEndian.Uint16(p[a&pageMask:]), nil
 }
 
 // Store16 writes a little-endian 16-bit value.
@@ -160,7 +205,7 @@ func (s *Space) Store16(a Addr, v uint16) error {
 		return err
 	}
 	s.markDirty(a, 2)
-	binary.LittleEndian.PutUint16(s.data[a:], v)
+	binary.LittleEndian.PutUint16(s.page(a)[a&pageMask:], v)
 	return nil
 }
 
@@ -170,7 +215,11 @@ func (s *Space) Load32(a Addr) (uint32, error) {
 	if err := s.check("load32", a, 4); err != nil {
 		return 0, err
 	}
-	return binary.LittleEndian.Uint32(s.data[a:]), nil
+	p := s.pages[a>>PageShift]
+	if p == nil {
+		return 0, nil
+	}
+	return binary.LittleEndian.Uint32(p[a&pageMask:]), nil
 }
 
 // Store32 writes a little-endian 32-bit value.
@@ -180,7 +229,7 @@ func (s *Space) Store32(a Addr, v uint32) error {
 		return err
 	}
 	s.markDirty(a, 4)
-	binary.LittleEndian.PutUint32(s.data[a:], v)
+	binary.LittleEndian.PutUint32(s.page(a)[a&pageMask:], v)
 	return nil
 }
 
@@ -191,10 +240,20 @@ func (s *Space) ReadBlock(a Addr, buf []byte) error {
 	if err := s.check("readblock", a, 1); err != nil {
 		return err
 	}
-	if uint64(a)+uint64(len(buf)) > uint64(len(s.data)) {
+	if uint64(a)+uint64(len(buf)) > uint64(s.size) {
 		return &AccessError{Op: "readblock", Addr: a, Reason: "block beyond end of space"}
 	}
-	copy(buf, s.data[a:])
+	for len(buf) > 0 {
+		var n int
+		if p := s.pages[a>>PageShift]; p != nil {
+			n = copy(buf, p[a&pageMask:])
+		} else {
+			n = min(len(buf), PageSize-int(a&pageMask))
+			clear(buf[:n])
+		}
+		buf = buf[n:]
+		a += Addr(n)
+	}
 	return nil
 }
 
@@ -203,13 +262,17 @@ func (s *Space) WriteBlock(a Addr, buf []byte) error {
 	if err := s.check("writeblock", a, 1); err != nil {
 		return err
 	}
-	if uint64(a)+uint64(len(buf)) > uint64(len(s.data)) {
+	if uint64(a)+uint64(len(buf)) > uint64(s.size) {
 		return &AccessError{Op: "writeblock", Addr: a, Reason: "block beyond end of space"}
 	}
 	if len(buf) > 0 {
 		s.markDirty(a, len(buf))
 	}
-	copy(s.data[a:], buf)
+	for len(buf) > 0 {
+		n := copy(s.page(a)[a&pageMask:], buf)
+		buf = buf[n:]
+		a += Addr(n)
+	}
 	return nil
 }
 
