@@ -47,16 +47,9 @@ type Calibration struct {
 // trace and derives the calibration for nodes serving that workload.
 func Calibrate(cfg Config, trace *packet.Trace) (Calibration, error) {
 	cfg = cfg.withDefaults()
-	if trace == nil || len(trace.Packets) == 0 {
-		return Calibration{}, errors.New("clumsy: empty trace")
-	}
-	cfg.Packets = len(trace.Packets)
-	golden, err := runOnce(cfg, trace, nil, 0)
+	golden, err := runGolden(cfg, trace)
 	if err != nil {
-		return Calibration{}, fmt.Errorf("clumsy: golden run failed: %w", err)
-	}
-	if golden.fatal != nil {
-		return Calibration{}, fmt.Errorf("clumsy: golden run must not die: %w", golden.fatal)
+		return Calibration{}, err
 	}
 	return Calibration{
 		Budget: uint64(cfg.WatchdogFactor * float64(golden.maxPacketInstrs)),
@@ -148,28 +141,7 @@ func OpenNode(cfg Config, trace *packet.Trace, cal Calibration) (*Node, error) {
 	}
 	space := simmem.NewSpace(spaceBytes)
 
-	// Fault process: same construction and fork labels as runOnce, so the
-	// injector stream of a node is bit-identical to a batch run seeded the
-	// same way.
-	model := fault.NewModel(cfg.FaultScale)
-	seedRNG := fault.NewRNG(cfg.Seed)
-	var proc fault.Process
-	switch cfg.Regime {
-	case RegimeBurst:
-		proc = fault.NewBurst(model, seedRNG.Fork(0xfa17), 32, fault.DefaultBurstParams())
-	case RegimePermanent:
-		inner := fault.NewInjector(model, seedRNG.Fork(0xfa17), 32)
-		l1dBytes := cfg.L1DSize
-		if l1dBytes == 0 {
-			l1dBytes = cache.DefaultL1D.SizeBytes
-		}
-		proc = fault.NewStuckAt(inner, seedRNG.Fork(0x57ac), l1dBytes/4, fault.DefaultStuckAtParams())
-	case RegimePaper:
-		fallthrough
-	default: // unknown regimes fall back to the paper process
-		proc = fault.NewInjector(model, seedRNG.Fork(0xfa17), 32)
-	}
-	proc.SetEnabled(false)
+	proc, _, _ := newFaultProcess(cfg, cfg.FaultScale)
 
 	var hc cache.HierarchyConfig
 	if cfg.L1DSize != 0 {

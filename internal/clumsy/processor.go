@@ -413,21 +413,7 @@ func (r *Result) GoldenEDF(e metrics.EDFExponents) float64 {
 // Run executes the golden and the clumsy run for the configuration and
 // compares them. The trace is generated from the application's workload
 // definition; use RunWithTrace to replay a stored trace.
-func Run(cfg Config) (*Result, error) {
-	cfg = cfg.withDefaults()
-	app, err := apps.New(cfg.App)
-	if err != nil {
-		return nil, err
-	}
-	trace, err := packet.Generate(app.TraceConfig(cfg.Packets, cfg.Seed))
-	if err != nil {
-		return nil, err
-	}
-	if cfg.Workload != nil {
-		trace = cfg.Workload.Apply(trace, cfg.Seed)
-	}
-	return RunWithTrace(cfg, trace)
-}
+func Run(cfg Config) (*Result, error) { return (*Goldens)(nil).Run(cfg) }
 
 // RunWithTrace executes the golden and the clumsy run over an explicit
 // packet trace (e.g. one replayed from a file written by
@@ -435,21 +421,19 @@ func Run(cfg Config) (*Result, error) {
 // the trace defines the workload length.
 func RunWithTrace(cfg Config, trace *packet.Trace) (*Result, error) {
 	cfg = cfg.withDefaults()
-	if trace == nil || len(trace.Packets) == 0 {
-		return nil, errors.New("clumsy: empty trace")
+	golden, err := runGolden(cfg, trace)
+	if err != nil {
+		return nil, err
 	}
 	cfg.Packets = len(trace.Packets)
+	return runFaulty(cfg, trace, golden)
+}
 
+// runFaulty executes the clumsy run over the trace and compares it with
+// the golden pass, which it only reads: one golden outcome may serve many
+// concurrent faulty runs.
+func runFaulty(cfg Config, trace *packet.Trace, golden *onceResult) (*Result, error) {
 	res := &Result{Config: cfg}
-
-	// Golden pass: injector disabled, full swing, no watchdog.
-	golden, err := runOnce(cfg, trace, nil, 0)
-	if err != nil {
-		return nil, fmt.Errorf("clumsy: golden run failed: %w", err)
-	}
-	if golden.fatal != nil {
-		return nil, fmt.Errorf("clumsy: golden run must not die: %w", golden.fatal)
-	}
 	res.GoldenCycles = golden.cycles
 	res.GoldenInstrs = golden.instrs
 	res.GoldenDelay = golden.delay
@@ -563,38 +547,18 @@ func runOnce(cfg Config, trace *packet.Trace, inj *injection, budget uint64) (*o
 	}
 	space := simmem.NewSpace(spaceBytes)
 
-	scale := 1.0
-	if inj != nil {
-		scale = inj.scale
-	}
-	// The fault process. Every regime forks the injector stream off the
-	// seed with the same label, so the paper regime consumes the RNG
-	// exactly as it always has — bit-for-bit reproduction of the existing
-	// tables is part of the contract. The stuck-at map draws from its own
-	// fork so seeding it never perturbs the transient stream.
-	model := fault.NewModel(scale)
-	seedRNG := fault.NewRNG(cfg.Seed)
 	var proc fault.Process
 	var burst *fault.Burst
 	var stuck *fault.StuckAt
-	switch cfg.Regime {
-	case RegimeBurst:
-		burst = fault.NewBurst(model, seedRNG.Fork(0xfa17), 32, fault.DefaultBurstParams())
-		proc = burst
-	case RegimePermanent:
-		inner := fault.NewInjector(model, seedRNG.Fork(0xfa17), 32)
-		l1dBytes := cfg.L1DSize
-		if l1dBytes == 0 {
-			l1dBytes = cache.DefaultL1D.SizeBytes
-		}
-		stuck = fault.NewStuckAt(inner, seedRNG.Fork(0x57ac), l1dBytes/4, fault.DefaultStuckAtParams())
-		proc = stuck
-	case RegimePaper:
-		fallthrough
-	default: // unknown regimes fall back to the paper process
-		proc = fault.NewInjector(model, seedRNG.Fork(0xfa17), 32)
+	if inj != nil {
+		proc, burst, stuck = newFaultProcess(cfg, inj.scale)
+	} else {
+		// The golden pass never enables its process, so every regime is
+		// fault-free there: it takes the paper process and reads neither
+		// Regime nor FaultScale, which keeps both out of the golden key.
+		proc = fault.NewInjector(fault.NewModel(1), fault.NewRNG(cfg.Seed).Fork(0xfa17), 32)
+		proc.SetEnabled(false)
 	}
-	proc.SetEnabled(false)
 
 	var hc cache.HierarchyConfig
 	if cfg.L1DSize != 0 {
@@ -903,6 +867,37 @@ func runOnce(cfg Config, trace *packet.Trace, inj *injection, budget uint64) (*o
 	}
 	finishTelemetry(tel, rt, out, eng, h, ctrl, processed)
 	return out, nil
+}
+
+// newFaultProcess builds the fault process of a faulty run, disabled, per
+// the configured regime. Every regime forks the injector stream off the
+// seed with the same label, so the paper regime consumes the RNG exactly
+// as it always has — bit-for-bit reproduction of the existing tables is
+// part of the contract. The stuck-at map draws from its own fork so
+// seeding it never perturbs the transient stream. A node and a batch run
+// seeded the same way draw the same faults.
+func newFaultProcess(cfg Config, scale float64) (proc fault.Process, burst *fault.Burst, stuck *fault.StuckAt) {
+	model := fault.NewModel(scale)
+	seedRNG := fault.NewRNG(cfg.Seed)
+	switch cfg.Regime {
+	case RegimeBurst:
+		burst = fault.NewBurst(model, seedRNG.Fork(0xfa17), 32, fault.DefaultBurstParams())
+		proc = burst
+	case RegimePermanent:
+		inner := fault.NewInjector(model, seedRNG.Fork(0xfa17), 32)
+		l1dBytes := cfg.L1DSize
+		if l1dBytes == 0 {
+			l1dBytes = cache.DefaultL1D.SizeBytes
+		}
+		stuck = fault.NewStuckAt(inner, seedRNG.Fork(0x57ac), l1dBytes/4, fault.DefaultStuckAtParams())
+		proc = stuck
+	case RegimePaper:
+		fallthrough
+	default: // unknown regimes fall back to the paper process
+		proc = fault.NewInjector(model, seedRNG.Fork(0xfa17), 32)
+	}
+	proc.SetEnabled(false)
+	return proc, burst, stuck
 }
 
 // captureLadder folds the recovery-ladder state of the run — disabled

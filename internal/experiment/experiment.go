@@ -18,7 +18,9 @@ import (
 // the statistics meaningful; raise Packets and Trials to tighten the error
 // bars. Every field that can change a Result must flow into the journal
 // fingerprint (see Options.fingerprint) or carry a fingerprint annotation;
-// the fpcover analyzer enforces this.
+// the fpcover analyzer enforces this. Each study entry point defaults its
+// Options once, and with them gets one golden-pass memo that every run of
+// the study shares.
 //
 //lint:fingerprint-source
 type Options struct {
@@ -75,6 +77,15 @@ type Options struct {
 	//lint:fingerprint-exempt the journal handle is where fingerprints go, not an input to them
 	Journal *Journal
 
+	// goldens shares the fault-free reference of every run of one study
+	// invocation: the trace and golden pass of each distinct golden key
+	// (clumsy.Goldens) run once, whatever Cr, scheme, regime or policy
+	// the grid sweeps around them. withDefaults creates it, so each study
+	// entry point and every cell and nested call under it share one memo,
+	// freed when the study returns.
+	//lint:fingerprint-exempt memo of the fault-free reference; a hit returns exactly the pass a miss would compute
+	goldens *clumsy.Goldens
+
 	// afterCell, when non-nil, observes every computed (not
 	// journal-skipped) cell. Test hook: lets a test cancel Ctx mid-grid at
 	// a deterministic point.
@@ -113,6 +124,9 @@ func (o Options) withDefaults() Options {
 	if o.Retries > 0 && o.RetryBackoff <= 0 {
 		o.RetryBackoff = 100 * time.Millisecond
 	}
+	if o.goldens == nil {
+		o.goldens = new(clumsy.Goldens)
+	}
 	return o
 }
 
@@ -133,14 +147,15 @@ func (o Options) trialSeed(trial int) uint64 {
 // applied. Every experiment goes through this wrapper so a single Options
 // switch regenerates the whole evaluation under drop-and-continue, and a
 // cancelled campaign context stops every study between runs — including
-// the serial extension sweeps that never touch parallelFor.
+// the serial extension sweeps that never touch parallelFor. The golden
+// pass comes from the study's memo.
 func (o Options) run(cfg clumsy.Config) (*clumsy.Result, error) {
 	if err := o.ctx().Err(); err != nil {
 		return nil, err
 	}
 	cfg.Recovery = o.Recovery
 	cfg.MaxDropRate = o.MaxDropRate
-	return clumsy.Run(cfg)
+	return o.goldens.Run(cfg)
 }
 
 // CycleTimes are the paper's operating points, slowest first.

@@ -222,6 +222,11 @@ func ExtExponents(app string, o Options) ([]ExponentRow, error) {
 		{K: 2, M: 1, N: 2}, // battery-bound wireless node
 		{K: 1, M: 1, N: 4}, // error-critical deployment
 	}
+	// Every weighting reruns the same grid; share its golden passes. (Not
+	// withDefaults: EDFGrid defaults an unset FaultScale to its own.)
+	if o.goldens == nil {
+		o.goldens = new(clumsy.Goldens)
+	}
 	var rows []ExponentRow
 	for _, e := range weightings {
 		opts := o
