@@ -122,13 +122,13 @@ func TestDropMatchesAbortWithoutFatals(t *testing.T) {
 	}
 }
 
-// playDataPlane runs one application's data plane fault-free and returns
-// its recorder. With scribble set, the post-setup state is checkpointed
-// (space pages plus cache snapshot), then trashed two ways — junk written
-// straight into the backing space, and junk stored through the cache
-// hierarchy so lines dirty, evict, and write back — and finally restored.
-// If the restore is faithful the observations must match the unscribbled
-// run byte for byte.
+// playDataPlane runs one application's data plane on a golden machine and
+// returns its recorder. With scribble set, the post-setup state is
+// checkpointed (space pages plus cache snapshot), then trashed two ways —
+// junk written straight into the backing space, and junk stored through
+// the cache hierarchy so lines dirty, evict, and write back — and finally
+// restored. If the restore is faithful the observations must match the
+// unscribbled run byte for byte.
 func playDataPlane(t *testing.T, appName string, scribble bool) *metrics.Recorder {
 	t.Helper()
 	app, err := apps.New(appName)
@@ -139,25 +139,14 @@ func playDataPlane(t *testing.T, appName string, scribble bool) *metrics.Recorde
 	if err != nil {
 		t.Fatal(err)
 	}
-	space := simmem.NewSpace(autoSpaceBytes(trace))
-	injector := fault.NewInjector(fault.NewModel(1), fault.NewRNG(1).Fork(0xfa17), 32)
-	injector.SetEnabled(false)
-	h, err := cache.NewHierarchyWith(space, injector, cache.DetectionNone, 1, cache.HierarchyConfig{})
+	m, err := newMachine(Config{App: appName, Seed: 1, Strikes: 1}, trace, nil, 0, placeFresh, nil)
 	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := newEngine(h, appBlocks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := metrics.NewRecorder()
-	ctx := &apps.Context{Space: space, Mem: dataMemory{eng}, Rec: rec, Exec: eng}
-	if err := app.Setup(ctx, trace); err != nil {
 		t.Fatalf("%s setup: %v", appName, err)
 	}
-	rec.BeginPackets()
+	defer m.release()
 
 	if scribble {
+		space, h := m.h.Space, m.h
 		ckpt := space.NewCheckpoint()
 		defer ckpt.Release()
 		cs := h.Snapshot(nil)
@@ -184,18 +173,15 @@ func playDataPlane(t *testing.T, appName string, scribble bool) *metrics.Recorde
 	}
 
 	for i := range trace.Packets {
-		p := &trace.Packets[i]
-		buf, err := dmaPacket(h, p)
-		if err != nil {
-			t.Fatal(err)
+		fatal, err := m.step(i, &trace.Packets[i])
+		if err == nil {
+			err = fatal
 		}
-		eng.beginPacket()
-		if err := app.Process(ctx, p, buf); err != nil {
+		if err != nil {
 			t.Fatalf("%s packet %d: %v", appName, i, err)
 		}
-		rec.EndPacket()
 	}
-	return rec
+	return m.rec
 }
 
 // TestRestoreGoldenEquivalence proves the restore is exact: after
@@ -545,7 +531,8 @@ func TestParseRecoveryPolicy(t *testing.T) {
 // FuzzContainment drives the drop policy across seeds, fault scales, and
 // applications, checking the containment invariants: the simulator never
 // errors, an unbounded drop policy always completes the trace, and the
-// derived rates stay in range.
+// derived rates stay in range — for a batch run and for a streaming node
+// serving the same trace.
 func FuzzContainment(f *testing.F) {
 	f.Add(uint64(1), uint32(5000), uint8(0))
 	f.Add(uint64(7), uint32(100), uint8(2))
@@ -581,6 +568,44 @@ func FuzzContainment(f *testing.F) {
 		}
 		if res.Contained != res.Report.Dropped {
 			t.Fatalf("contained %d != dropped %d", res.Contained, res.Report.Dropped)
+		}
+
+		tr := nodeTrace(t, app, cfg.Packets, cfg.Seed)
+		cal, err := Calibrate(cfg, tr)
+		if err != nil {
+			t.Fatalf("Calibrate(%+v): %v", cfg, err)
+		}
+		n, err := OpenNode(cfg, tr, cal)
+		if err != nil {
+			t.Fatalf("OpenNode(%+v): %v", cfg, err)
+		}
+		defer n.Close()
+		dropped := 0
+		for i := range tr.Packets {
+			out, err := n.Process(&tr.Packets[i])
+			if err != nil {
+				t.Fatalf("node packet %d: %v", i, err)
+			}
+			if out.Fatal {
+				t.Fatalf("node died under an unbounded drop policy: %v", n.FatalErr())
+			}
+			if out.Dropped {
+				dropped++
+			}
+		}
+		h := n.Health()
+		if h.Dead || n.FatalErr() != nil {
+			t.Fatalf("node dead under an unbounded drop policy: %v", n.FatalErr())
+		}
+		if h.Attempted != len(tr.Packets) || h.Attempted != h.Processed+h.Contained {
+			t.Fatalf("node attempted %d of %d packets, processed %d, contained %d",
+				h.Attempted, len(tr.Packets), h.Processed, h.Contained)
+		}
+		if h.Contained != dropped || h.WatchdogKills > h.Contained {
+			t.Fatalf("node health %+v disagrees with its %d dropped outcomes", h, dropped)
+		}
+		if dr := h.DropRate(); dr < 0 || dr > 1 {
+			t.Fatalf("node drop rate %v", dr)
 		}
 	})
 }

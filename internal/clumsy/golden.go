@@ -32,11 +32,11 @@ type Goldens struct {
 
 // goldenKey is every Config field the reference reads: the trace
 // generator's inputs (app, packets, seed, workload spec) and the fields
-// runOnce reads when it runs without injection. Everything else —
-// the operating point, the controller, the fault process, the ladder,
-// the watchdog factor and the recovery policy — only shapes the faulty
-// pass. TestGoldenKeyClassification classifies every Config field and
-// proves the faulty-only ones cannot move a golden outcome.
+// the golden machine reads. Everything else — the operating point, the
+// controller, the fault process, the ladder, the watchdog factor and the
+// recovery policy — only shapes the faulty pass.
+// TestGoldenKeyClassification classifies every Config field and proves
+// the faulty-only ones cannot move a golden outcome.
 type goldenKey struct {
 	app           string
 	packets       int
@@ -152,12 +152,16 @@ func runGolden(cfg Config, trace *packet.Trace) (*onceResult, error) {
 	if trace == nil || len(trace.Packets) == 0 {
 		return nil, errors.New("clumsy: empty trace")
 	}
-	golden, err := runOnce(cfg, trace, nil, 0)
+	m, err := newMachine(cfg, trace, nil, 0, placeFresh, nil)
 	if err != nil {
 		return nil, fmt.Errorf("clumsy: golden run failed: %w", err)
 	}
-	if golden.fatal != nil {
-		return nil, fmt.Errorf("clumsy: golden run must not die: %w", golden.fatal)
+	golden, err := m.run(trace)
+	if err != nil {
+		return nil, fmt.Errorf("clumsy: golden run failed: %w", err)
+	}
+	if golden.FatalErr != nil {
+		return nil, fmt.Errorf("clumsy: golden run must not die: %w", golden.FatalErr)
 	}
 	return golden, nil
 }

@@ -19,14 +19,14 @@ import (
 // alone.
 type goldenField struct {
 	golden bool   // a golden input: part of goldenKey
-	why    string // for a faulty-only field: where runOnce reads it, all under inj != nil
+	why    string // for a faulty-only field: where newMachine reads it, all under inj != nil
 	vary   func(Config) Config
 }
 
 var keySpec = &workload.Spec{Shape: workload.ShapeFlash, Adversarial: 0.15, Churn: 0.25}
 
 // goldenFields classifies every Config field. A field may be faulty-only
-// only if runOnce reads it solely under inj != nil (or not at all);
+// only if newMachine reads it solely under inj != nil (or not at all);
 // TestGoldenKeyClassification fails on any field missing here.
 var goldenFields = map[string]goldenField{
 	"App": {golden: true, vary: func(c Config) Config {
@@ -74,9 +74,9 @@ var goldenFields = map[string]goldenField{
 		vary: func(c Config) Config { c.Dynamic, c.X1 = true, 1.2; return c }},
 	"X2": {why: "parameterises the controller built under inj != nil",
 		vary: func(c Config) Config { c.Dynamic, c.X2 = true, 0.3; return c }},
-	"FaultScale": {why: "reaches runOnce only as injection.scale; the golden process is built at scale 1",
+	"FaultScale": {why: "reaches newMachine only as injection.scale; the golden process is built at scale 1",
 		vary: func(c Config) Config { c.FaultScale = 5e3; return c }},
-	"Planes": {why: "reaches runOnce only as injection.planes",
+	"Planes": {why: "reaches newMachine only as injection.planes",
 		vary: func(c Config) Config { c.Planes = PlaneControl; return c }},
 	"Regime": {why: "read by newFaultProcess, which only the inj != nil branch calls",
 		vary: func(c Config) Config { c.Regime = RegimePermanent; return c }},
@@ -88,13 +88,13 @@ var goldenFields = map[string]goldenField{
 		vary: func(c Config) Config { c.PreDisableFrac = 0.5; return c }},
 	"MinDwellEpochs": {why: "damps the controller built under inj != nil",
 		vary: func(c Config) Config { c.Dynamic, c.MinDwellEpochs = true, 3; return c }},
-	"WatchdogFactor": {why: "not read by runOnce; runFaulty scales the golden worst packet into the faulty budget",
+	"WatchdogFactor": {why: "not read by newMachine; runFaulty scales the golden worst packet into the faulty budget",
 		vary: func(c Config) Config { c.WatchdogFactor = 2; return c }},
 	"Recovery": {why: "arms line disable and takes the checkpoint only under inj != nil",
 		vary: func(c Config) Config { c.Recovery = RecoverDegrade; return c }},
 	"MaxDropRate": {why: "read only on the containment path, which needs the checkpoint taken under inj != nil",
 		vary: func(c Config) Config { c.Recovery, c.MaxDropRate = RecoverDrop, 0.01; return c }},
-	"Telemetry": {why: "runOnce drops the hub when inj == nil",
+	"Telemetry": {why: "runGolden builds its machine with no hub",
 		vary: func(c Config) Config { c.Telemetry = telemetry.New(); return c }},
 }
 
@@ -124,7 +124,7 @@ func TestGoldenKeyClassification(t *testing.T) {
 			continue
 		}
 		if !f.golden && f.why == "" {
-			t.Errorf("Config.%s is faulty-only without saying where runOnce reads it", name)
+			t.Errorf("Config.%s is faulty-only without saying where newMachine reads it", name)
 		}
 	}
 	for name := range goldenFields {
@@ -168,9 +168,9 @@ func goldenDiff(a, b *onceResult) string {
 		name string
 		x, y any
 	}{
-		{"cycles", a.cycles, b.cycles}, {"instrs", a.instrs, b.instrs}, {"delay", a.delay, b.delay},
-		{"maxPacketInstrs", a.maxPacketInstrs, b.maxPacketInstrs}, {"breakdown", a.breakdown, b.breakdown},
-		{"energy", a.energy, b.energy}, {"l1dStats", a.l1dStats, b.l1dStats},
+		{"cycles", a.Cycles, b.Cycles}, {"instrs", a.Instrs, b.Instrs}, {"delay", a.Delay, b.Delay},
+		{"maxPacketInstrs", a.maxPacketInstrs, b.maxPacketInstrs}, {"breakdown", a.Breakdown, b.Breakdown},
+		{"energy", a.Energy, b.Energy}, {"l1dStats", a.L1DStats, b.L1DStats},
 		{"observations", a.rec, b.rec},
 	} {
 		if !reflect.DeepEqual(f.x, f.y) {

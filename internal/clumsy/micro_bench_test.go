@@ -5,10 +5,7 @@ import (
 
 	"clumsy/internal/apps"
 	"clumsy/internal/cache"
-	"clumsy/internal/fault"
-	"clumsy/internal/metrics"
 	"clumsy/internal/packet"
-	"clumsy/internal/simmem"
 )
 
 // BenchmarkRunRoute measures the end-to-end simulation rate: a full
@@ -29,7 +26,7 @@ func BenchmarkRunRoute(b *testing.B) {
 
 // BenchmarkNewCheckpoint measures taking the drop policy's restore point
 // of the simulated space right after the route control plane has built
-// its tables, as runOnce does before the first packet. Only resident
+// its tables, as newMachine does before the first packet. Only resident
 // pages are copied, and the write-back caches still hold most of what
 // Setup stored.
 func BenchmarkNewCheckpoint(b *testing.B) {
@@ -41,21 +38,12 @@ func BenchmarkNewCheckpoint(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	space := simmem.NewSpace(autoSpaceBytes(trace))
-	proc := fault.NewInjector(fault.NewModel(1), fault.NewRNG(7), 32)
-	proc.SetEnabled(false)
-	h, err := cache.NewHierarchyWith(space, proc, cache.DetectionParity, 2, cache.HierarchyConfig{})
+	m, err := newMachine(Config{App: "route", Seed: 7, Detection: cache.DetectionParity, Strikes: 2},
+		trace, nil, 0, placeFresh, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
-	eng, err := newEngine(h, appBlocks)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ctx := &apps.Context{Space: space, Mem: dataMemory{eng}, Rec: metrics.NewRecorder(), Exec: eng}
-	if err := app.Setup(ctx, trace); err != nil {
-		b.Fatal(err)
-	}
+	space := m.h.Space
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -4,30 +4,26 @@ import (
 	"errors"
 	"fmt"
 
-	"clumsy/internal/apps"
-	"clumsy/internal/cache"
-	"clumsy/internal/fault"
-	"clumsy/internal/freqctl"
-	"clumsy/internal/metrics"
 	"clumsy/internal/packet"
-	"clumsy/internal/simmem"
 )
 
-// The streaming node API refactors the batch packet loop of runOnce into
-// an open/process lifecycle, so a fleet simulator can interleave packets
-// from many independent processors under one virtual clock. A Node is one
-// clumsy processor: the real engine, cache hierarchy, fault process, and
-// recovery ladder of a faulty run, kept alive between packets. The
-// containment machinery is the batch path's — watchdog budget,
-// checkpoint/restore at packet boundaries, the escalating ladder — but a
-// node fed the whole trace in order does not reproduce the batch run: it
-// DMAs every packet into one reused, line-aligned buffer (dmaInto), while
-// the batch path allocates a fresh buffer per packet (dmaPacket). The
-// different placement changes which cache lines the packets share, and so
-// hit/miss behaviour and, under faults, what gets corrupted. For route at
-// seed 7 over 3,000 packets, Cr 0.25, FaultScale 3000 and the drop policy,
-// the batch run executes 335,927 instructions in 1,173,394 cycles and the
-// node 335,762 in 923,320.
+// A Node is one clumsy processor serving a packet stream: the faulty
+// machine of a batch run — engine, cache hierarchy, fault process,
+// recovery ladder, checkpoint/restore at packet boundaries — kept alive
+// between packets, so a fleet simulator can interleave packets from many
+// independent processors under one virtual clock. Fed a whole trace in
+// order, a node reproduces the batch faulty run built with the same DMA
+// placement: the same instructions, cycles (setup plus the sum of the
+// per-packet laps), contained drops, watchdog kills, disabled lines and
+// cycle time. It does not reproduce Run, which gives every packet a fresh
+// buffer, because a node DMAs every packet into one reused buffer (see
+// placement); the different layout changes which cache lines the packets
+// share, and so hit/miss behaviour and, under faults, what gets
+// corrupted. For route at seed 7 over 3,000 packets, Cr 0.25, FaultScale
+// 3000 and the drop policy, the batch run executes 335,927 instructions
+// in 1,173,394 cycles and the node 335,762 in 923,320
+// (TestNodeMatchesBatchAtMatchedPlacement and TestNodePlacementGap pin
+// both claims). A node is telemetry-silent.
 
 // ErrNodeDead is returned by Node.Process once a fatal error has ended the
 // node's service life (abort policy, or drop rate beyond MaxDropRate).
@@ -53,7 +49,7 @@ func Calibrate(cfg Config, trace *packet.Trace) (Calibration, error) {
 	}
 	return Calibration{
 		Budget: uint64(cfg.WatchdogFactor * float64(golden.maxPacketInstrs)),
-		Delay:  golden.delay,
+		Delay:  golden.Delay,
 	}, nil
 }
 
@@ -92,32 +88,8 @@ func (h NodeHealth) DropRate() float64 {
 
 // Node is one live clumsy processor serving a packet stream.
 type Node struct {
-	cfg   Config
-	app   apps.App
-	space *simmem.Space
-	proc  fault.Process
-	h     *cache.Hierarchy
-	eng   *engine
-	ctrl  *freqctl.Controller
-	rec   *metrics.Recorder
-	ctx   *apps.Context
-
-	ckpt       *simmem.Checkpoint
-	cacheState *cache.Snapshot
-	guard      *stateGuard
-
-	buf    simmem.Addr // reused DMA buffer (line-aligned)
-	bufCap int
-
-	prevCycles float64 // totalCycles at the last packet boundary
-	parityMark uint64
-
-	attempted     int
-	processed     int
-	contained     int
-	watchdogKills int
-	dead          bool
-	fatal         error
+	m          *machine
+	prevCycles float64 // machine clock at the last packet boundary
 }
 
 // OpenNode builds one faulty processor for the workload: fault process per
@@ -126,147 +98,24 @@ type Node struct {
 // same faults), hierarchy with the recovery ladder armed, engine, and —
 // unless the policy is abort — a packet-boundary checkpoint. The control
 // plane (Setup over the trace) runs here; a fatal error during Setup fails
-// the open, exactly like the batch semantics. cal must come from Calibrate
-// over the same trace.
+// the open, where a batch run reports it as a setup death. cal must come
+// from Calibrate over the same trace.
 func OpenNode(cfg Config, trace *packet.Trace, cal Calibration) (*Node, error) {
 	cfg = cfg.withDefaults()
 	if trace == nil || len(trace.Packets) == 0 {
 		return nil, errors.New("clumsy: empty trace")
 	}
 	cfg.Packets = len(trace.Packets)
-
-	spaceBytes := cfg.SpaceBytes
-	if spaceBytes == 0 {
-		spaceBytes = autoSpaceBytes(trace)
-	}
-	space := simmem.NewSpace(spaceBytes)
-
-	proc, _, _ := newFaultProcess(cfg, cfg.FaultScale)
-
-	var hc cache.HierarchyConfig
-	if cfg.L1DSize != 0 {
-		hc.L1D = cache.DefaultL1D
-		hc.L1D.SizeBytes = cfg.L1DSize
-	}
-	h, err := cache.NewHierarchyWith(space, proc, cfg.Detection, cfg.Strikes, hc)
+	// No telemetry hub, even one withDefaults took from the process-wide
+	// default: a fleet's nodes must not emit run counters.
+	m, err := newMachine(cfg, trace, &injection{scale: cfg.FaultScale, planes: cfg.Planes}, cal.Budget, placeReused, nil)
 	if err != nil {
 		return nil, err
 	}
-	h.L1D.SetSubBlock(cfg.SubBlock)
-	strikes, window := cfg.LineDisableStrikes, cfg.LineDisableWindow
-	if strikes == 0 && cfg.Recovery == RecoverDegrade {
-		strikes = DefaultLineDisableStrikes
+	if m.out.SetupDied {
+		return nil, fmt.Errorf("clumsy: node setup failed: %w", m.out.FatalErr)
 	}
-	if strikes > 0 {
-		if window == 0 {
-			window = DefaultLineDisableWindow
-		}
-		h.L1D.SetLineDisable(strikes, window)
-	}
-	if cfg.PreDisableFrac > 0 {
-		h.L1D.ForceDisable(cfg.PreDisableFrac)
-	}
-	eng, err := newEngine(h, appBlocks)
-	if err != nil {
-		return nil, err
-	}
-
-	var ctrl *freqctl.Controller
-	if cfg.Dynamic {
-		epoch := cfg.EpochPackets
-		if epoch == 0 {
-			epoch = freqctl.DefaultEpochPackets
-		}
-		x1, x2 := cfg.X1, cfg.X2
-		if x1 == 0 {
-			x1 = freqctl.DefaultX1
-		}
-		if x2 == 0 {
-			x2 = freqctl.DefaultX2
-		}
-		ctrl, err = freqctl.NewWith(freqctl.DefaultLevels(), epoch, x1, x2, freqctl.DefaultSwitchPenalty)
-		if err != nil {
-			return nil, err
-		}
-		if cfg.MinDwellEpochs > 0 {
-			ctrl.SetMinDwell(cfg.MinDwellEpochs)
-		}
-		if cfg.Recovery == RecoverDegrade {
-			ctrl.SetSpatialPolicy(DefaultSpatialLines, DefaultSpatialDisabledFrac)
-			ctrl.SpatialEvidence = h.L1D.TakeEpochEvidence
-		}
-		h.L1D.SetCycleTime(ctrl.CycleTime())
-	} else {
-		h.L1D.SetCycleTime(cfg.CycleTime)
-	}
-
-	app, err := apps.New(cfg.App)
-	if err != nil {
-		return nil, err
-	}
-	rec := metrics.NewRecorder()
-	n := &Node{
-		cfg: cfg, app: app, space: space, proc: proc, h: h, eng: eng,
-		ctrl: ctrl, rec: rec,
-		ctx: &apps.Context{Space: space, Mem: dataMemory{eng}, Rec: rec, Exec: eng},
-	}
-
-	// Control plane. A fatal error here fails the open: there is no
-	// pre-fault state to restore before the tables exist.
-	if cfg.Planes&PlaneControl != 0 {
-		proc.SetEnabled(true)
-	}
-	if err := runSetup(app, n.ctx, trace); err != nil {
-		return nil, fmt.Errorf("clumsy: node setup failed: %w", err)
-	}
-	proc.SetEnabled(false)
-	rec.BeginPackets()
-
-	// State-integrity machinery around a stateful app's flow table, exactly
-	// as the batch path wires it (the node has no run trace, so events are
-	// discarded; counters and the ladder still run).
-	if sa, ok := app.(apps.StatefulApp); ok && sa.StateTable() != nil {
-		n.guard = newStateGuard(sa.StateTable(), h, nil, eng, cfg)
-	}
-
-	// One line-aligned DMA buffer, reused for every packet, sized for the
-	// largest packet of the workload: a streaming node must not grow its
-	// simulated memory per packet.
-	maxWire := 0
-	for i := range trace.Packets {
-		if l := trace.Packets[i].WireLen(); l > maxWire {
-			maxWire = l
-		}
-	}
-	n.bufCap = (maxWire + 31) &^ 31
-	if n.bufCap < 32 {
-		n.bufCap = 32
-	}
-	n.buf, err = space.Alloc(n.bufCap, 32)
-	if err != nil {
-		return nil, err
-	}
-
-	if cfg.Recovery != RecoverAbort {
-		n.ckpt = space.NewCheckpoint()
-		n.cacheState = h.Snapshot(nil)
-	}
-	if cfg.Planes&PlaneData != 0 {
-		proc.SetEnabled(true)
-	}
-	eng.budget = cal.Budget
-	n.prevCycles = n.totalCycles()
-	return n, nil
-}
-
-// totalCycles is the node's simulated clock: engine cycles (core + stalls)
-// plus any frequency-switch penalty.
-func (n *Node) totalCycles() float64 {
-	c := n.eng.totalCycles()
-	if n.ctrl != nil {
-		c += n.ctrl.PenaltyCycles
-	}
-	return c
+	return &Node{m: m, prevCycles: m.clock()}, nil
 }
 
 // Process serves one packet and returns its outcome: the simulated cycles
@@ -274,144 +123,58 @@ func (n *Node) totalCycles() float64 {
 // the node. Calling Process on a dead node returns ErrNodeDead; any other
 // error is a simulator failure, not a simulated outcome.
 func (n *Node) Process(p *packet.Packet) (NodeOutcome, error) {
-	if n.dead {
+	if n.m.dead {
 		return NodeOutcome{}, ErrNodeDead
 	}
-	n.attempted++
-	if err := n.dmaInto(p); err != nil {
+	fatal, err := n.m.step(n.m.attempted, p)
+	if err != nil {
 		return NodeOutcome{}, err
 	}
-	n.eng.beginPacket()
-	if n.guard != nil {
-		n.guard.packet = n.attempted - 1
+	out := NodeOutcome{Cycles: n.lap()}
+	if fatal != nil {
+		out.Dropped, out.Reason = true, dropReason(fatal)
 	}
-	if err := processPacket(n.app, n.ctx, p, n.buf); err != nil {
-		if errors.Is(err, ErrStateCorrupt) {
-			// Unrecoverable cross-packet state: terminal under every policy.
-			n.dead = true
-			n.fatal = err
-			return NodeOutcome{Dropped: true, Fatal: true, Reason: dropReason(err), Cycles: n.lap()}, nil
-		}
-		if !isFatal(err) {
-			return NodeOutcome{}, err
-		}
-		// Fatal: spin out the watchdog budget, then drop or die.
-		if n.eng.budget > 0 {
-			n.eng.burnWatchdog(n.eng.budget)
-		}
-		if errors.Is(err, ErrWatchdog) {
-			n.watchdogKills++
-		}
-		out := NodeOutcome{Dropped: true, Reason: dropReason(err)}
-		if n.ckpt == nil {
-			n.dead = true
-			n.fatal = err
-			out.Fatal = true
-			out.Cycles = n.lap()
-			return out, nil
-		}
-		n.ckpt.Restore()
-		n.h.RestoreSnapshot(n.cacheState)
-		if n.guard != nil {
-			n.guard.st.RestoreShadow()
-		}
-		n.contained++
-		n.rec.DropPacket()
-		if sr, ok := n.app.(apps.ScratchResetter); ok {
-			sr.ResetScratch()
-		}
-		if n.cfg.MaxDropRate > 0 {
-			if rate := float64(n.contained) / float64(n.attempted); rate > n.cfg.MaxDropRate {
-				n.dead = true
-				n.fatal = fmt.Errorf("%w: %.4f > %.4f after %d packets",
-					ErrDropRateExceeded, rate, n.cfg.MaxDropRate, n.attempted)
-				out.Fatal = true
-			}
-		}
-		out.Cycles = n.lap()
-		return out, nil
-	}
-	n.rec.EndPacket()
-	n.processed++
-	if n.guard != nil && n.guard.scrubDue(n.processed) {
-		if err := n.guard.scrubPass(n.ctx.Mem, n.attempted-1); err != nil {
-			if !errors.Is(err, ErrStateCorrupt) && !isFatal(err) {
-				return NodeOutcome{}, err
-			}
-			n.dead = true
-			n.fatal = err
-			return NodeOutcome{Dropped: true, Fatal: true, Reason: dropReason(err), Cycles: n.lap()}, nil
+	if n.m.dead {
+		// The fatal error ended the node's service life; a scrub that
+		// exhausted the state ladder after a completed packet counts too.
+		out.Dropped, out.Fatal = true, true
+		if fatal == nil {
+			out.Reason = dropReason(n.m.out.FatalErr)
 		}
 	}
-	if n.ckpt != nil {
-		n.ckpt.Commit()
-		n.cacheState = n.h.Snapshot(n.cacheState)
-	}
-	if n.guard != nil {
-		n.guard.st.CommitShadow()
-	}
-	if n.ctrl != nil {
-		newErrors := n.h.L1D.Recovery.ParityErrors - n.parityMark
-		n.parityMark = n.h.L1D.Recovery.ParityErrors
-		if _, changed := n.ctrl.PacketDone(newErrors); changed {
-			n.h.L1D.SetCycleTime(n.ctrl.CycleTime())
-		}
-	}
-	return NodeOutcome{Cycles: n.lap()}, nil
+	return out, nil
 }
 
 // lap returns the cycles since the last packet boundary and advances it.
 func (n *Node) lap() float64 {
-	now := n.totalCycles()
+	now := n.m.clock()
 	d := now - n.prevCycles
 	n.prevCycles = now
 	return d
 }
 
-// dmaInto places the packet into the node's reused buffer, as the NIC's
-// DMA engine would: straight to backing memory, invalidating stale cached
-// copies of the range.
-func (n *Node) dmaInto(p *packet.Packet) error {
-	if size := p.WireLen(); size > n.bufCap {
-		return fmt.Errorf("clumsy: packet (%d bytes) exceeds the node's DMA buffer (%d)", size, n.bufCap)
-	}
-	if p.Raw != nil {
-		if len(p.Raw) == 0 {
-			return nil
-		}
-		return n.h.DMA(n.buf, p.Raw)
-	}
-	hdr := p.Header()
-	if err := n.h.DMA(n.buf, hdr[:]); err != nil {
-		return err
-	}
-	if len(p.Payload) > 0 {
-		return n.h.DMA(n.buf+packet.HeaderLen, p.Payload)
-	}
-	return nil
-}
-
 // Health returns the node's cumulative health evidence.
 func (n *Node) Health() NodeHealth {
-	ev := n.h.L1D.Health()
+	m := n.m
+	ev := m.h.L1D.Health()
 	nh := NodeHealth{
-		Attempted:     n.attempted,
-		Processed:     n.processed,
-		Contained:     n.contained,
-		WatchdogKills: n.watchdogKills,
+		Attempted:     m.attempted,
+		Processed:     m.processed,
+		Contained:     m.out.Contained,
+		WatchdogKills: m.out.watchdogKills,
 		LinesDisabled: ev.DisabledLines,
 		DisabledFrac:  ev.DisabledFraction,
 		CycleTime:     ev.CycleTime,
-		Dead:          n.dead,
+		Dead:          m.dead,
 	}
-	if n.ctrl != nil {
-		nh.SpatialBackoffs = n.ctrl.SpatialBackoffs
+	if m.ctrl != nil {
+		nh.SpatialBackoffs = m.ctrl.SpatialBackoffs
 	}
 	return nh
 }
 
 // FatalErr returns the error that ended a dead node's service life, or nil.
-func (n *Node) FatalErr() error { return n.fatal }
+func (n *Node) FatalErr() error { return n.m.out.FatalErr }
 
 // Reclock raises the node's relative cycle time to cr (clamped to [current
 // cycle time, 1]) — the restorative half of drain-and-re-clock: slower
@@ -421,28 +184,18 @@ func (n *Node) FatalErr() error { return n.fatal }
 // dynamic node's controller owns its operating point, so Reclock is a
 // no-op there.
 func (n *Node) Reclock(cr float64) float64 {
-	cur := n.h.L1D.CycleTime()
-	if n.ctrl != nil {
+	l1d := n.m.h.L1D
+	cur := l1d.CycleTime()
+	if n.m.ctrl != nil {
 		return cur
 	}
-	if cr < cur {
-		cr = cur
-	}
-	if cr > 1 {
-		cr = 1
-	}
+	cr = min(max(cr, cur), 1)
 	if cr > cur {
-		n.h.L1D.SetCycleTime(cr)
+		l1d.SetCycleTime(cr)
 	}
 	return cr
 }
 
 // Close releases the node's checkpoint resources. The node must not be
 // used afterwards.
-func (n *Node) Close() {
-	if n.ckpt != nil {
-		n.ckpt.Release()
-		n.ckpt = nil
-	}
-	n.dead = true
-}
+func (n *Node) Close() { n.m.release() }

@@ -2,6 +2,7 @@ package clumsy
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"clumsy/internal/apps"
@@ -183,5 +184,125 @@ func TestNodeDeadAfterAbort(t *testing.T) {
 	}
 	if _, err := n.Process(&tr.Packets[6]); !errors.Is(err, ErrNodeDead) {
 		t.Fatalf("Process on a dead node returned %v, want ErrNodeDead", err)
+	}
+}
+
+// serveAll feeds the trace to n in order until it ends or the node dies,
+// and returns the node's clock at open plus the sum of its per-packet laps.
+func serveAll(t *testing.T, n *Node, tr *packet.Trace) float64 {
+	t.Helper()
+	cycles := n.prevCycles
+	for i := range tr.Packets {
+		out, err := n.Process(&tr.Packets[i])
+		if err != nil {
+			t.Fatalf("packet %d: %v", i, err)
+		}
+		cycles += out.Cycles
+		if out.Fatal {
+			break
+		}
+	}
+	return cycles
+}
+
+// TestNodeMatchesBatchAtMatchedPlacement: a node fed the whole trace in
+// order is the batch faulty run built with the node's DMA placement. The
+// instructions, the cycles (the node's setup plus the sum of its laps),
+// the contained drops, watchdog kills, disabled lines and final cycle time
+// all agree, under the containing policies, the correlated regimes, and
+// the dynamic scheme.
+func TestNodeMatchesBatchAtMatchedPlacement(t *testing.T) {
+	var contained, disabled int
+	for _, cfg := range []Config{
+		{App: "route", Packets: 600, Seed: 7, CycleTime: 0.25, FaultScale: 3000, Recovery: RecoverDrop},
+		{App: "drr", Packets: 400, Seed: 11, CycleTime: 0.5, FaultScale: 3000, Recovery: RecoverDegrade,
+			Regime: RegimeBurst, Detection: cache.DetectionParity, Strikes: 2},
+		{App: "drr", Packets: 400, Seed: 11, Dynamic: true, FaultScale: 3000, Recovery: RecoverDrop,
+			Regime: RegimeBurst, Detection: cache.DetectionParity, Strikes: 2},
+		{App: "route", Packets: 400, Seed: 4, CycleTime: 0.5, FaultScale: 120, Recovery: RecoverDegrade,
+			Regime: RegimePermanent, Detection: cache.DetectionParity, Strikes: 2, PreDisableFrac: 0.05},
+	} {
+		name := cfg.App + "/" + cfg.Recovery.String() + "/" + cfg.Regime.String() + "/" + schemeName(cfg.Dynamic)
+		t.Run(name, func(t *testing.T) {
+			tr := nodeTrace(t, cfg.App, cfg.Packets, cfg.Seed)
+			cal, err := Calibrate(cfg, tr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bcfg := cfg.withDefaults()
+			m, err := newMachine(bcfg, tr, &injection{scale: bcfg.FaultScale, planes: bcfg.Planes}, cal.Budget, placeReused, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cycleTime := func() float64 { return m.h.L1D.CycleTime() }
+			batch, err := m.run(tr)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			n, err := OpenNode(cfg, tr, cal)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer n.Close()
+			cycles := serveAll(t, n, tr)
+			h := n.Health()
+
+			if got, want := n.m.eng.instrs, batch.Instrs; got != want {
+				t.Errorf("node executed %d instructions, batch %d", got, want)
+			}
+			// The laps telescope to the node's clock; summing them rounds
+			// differently from the batch run's single total.
+			if got, want := cycles, batch.Cycles; math.Abs(got-want) > 1e-9*want {
+				t.Errorf("node setup plus laps = %v cycles, batch %v", got, want)
+			}
+			if h.Contained != batch.Contained || h.WatchdogKills != batch.watchdogKills {
+				t.Errorf("node contained %d with %d watchdog kills, batch %d with %d",
+					h.Contained, h.WatchdogKills, batch.Contained, batch.watchdogKills)
+			}
+			if h.LinesDisabled != batch.LinesDisabled || h.CycleTime != cycleTime() {
+				t.Errorf("node ends with %d lines disabled at Cr %v, batch %d at Cr %v",
+					h.LinesDisabled, h.CycleTime, batch.LinesDisabled, cycleTime())
+			}
+			if h.Dead != (batch.FatalErr != nil) {
+				t.Errorf("node dead %v, batch fatal %v", h.Dead, batch.FatalErr)
+			}
+			contained += batch.Contained
+			disabled += batch.LinesDisabled
+		})
+	}
+	// Self-check: the cases must reach containment and the ladder, or the
+	// agreement covers only the quiet path.
+	if contained == 0 || disabled == 0 {
+		t.Fatalf("%d contained drops and %d disabled lines across the cases", contained, disabled)
+	}
+}
+
+// TestNodePlacementGap pins the documented difference between a node and
+// Run: Run gives every packet a fresh DMA buffer and a node reuses one, so
+// the same trace, seed and fault process execute differently. The figures
+// are the ones the node.go header quotes.
+func TestNodePlacementGap(t *testing.T) {
+	cfg := Config{App: "route", Packets: 3000, Seed: 7, CycleTime: 0.25, FaultScale: 3000, Recovery: RecoverDrop}
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := nodeTrace(t, cfg.App, cfg.Packets, cfg.Seed)
+	cal, err := Calibrate(cfg, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := OpenNode(cfg, tr, cal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	cycles := serveAll(t, n, tr)
+	if res.Instrs != 335927 || res.Cycles != 1173394 {
+		t.Errorf("batch ran %d instructions in %.0f cycles, want 335,927 in 1,173,394", res.Instrs, res.Cycles)
+	}
+	if n.m.eng.instrs != 335762 || cycles != 923320 {
+		t.Errorf("node ran %d instructions in %.0f cycles, want 335,762 in 923,320", n.m.eng.instrs, cycles)
 	}
 }

@@ -4,11 +4,9 @@ import (
 	"errors"
 	"fmt"
 
-	"clumsy/internal/apps"
 	"clumsy/internal/cache"
 	"clumsy/internal/energy"
 	"clumsy/internal/fault"
-	"clumsy/internal/freqctl"
 	"clumsy/internal/metrics"
 	"clumsy/internal/packet"
 	"clumsy/internal/radix"
@@ -433,56 +431,31 @@ func RunWithTrace(cfg Config, trace *packet.Trace) (*Result, error) {
 // the golden pass, which it only reads: one golden outcome may serve many
 // concurrent faulty runs.
 func runFaulty(cfg Config, trace *packet.Trace, golden *onceResult) (*Result, error) {
-	res := &Result{Config: cfg}
-	res.GoldenCycles = golden.cycles
-	res.GoldenInstrs = golden.instrs
-	res.GoldenDelay = golden.delay
-	res.GoldenEnergy = golden.energy
-	res.GoldenL1DStats = golden.l1dStats
-
 	budget := uint64(cfg.WatchdogFactor * float64(golden.maxPacketInstrs))
-	faulty, err := runOnce(cfg, trace, &injection{scale: cfg.FaultScale, planes: cfg.Planes}, budget)
+	m, err := newMachine(cfg, trace, &injection{scale: cfg.FaultScale, planes: cfg.Planes}, budget, placeFresh, cfg.Telemetry)
 	if err != nil {
 		return nil, fmt.Errorf("clumsy: faulty run failed: %w", err)
 	}
-	res.Cycles = faulty.cycles
-	res.Breakdown = faulty.breakdown
-	res.Instrs = faulty.instrs
-	res.Delay = faulty.delay
-	res.Energy = faulty.energy
-	res.L1DStats = faulty.l1dStats
-	res.Recovery = faulty.recovery
-	res.FatalErr = faulty.fatal
-	res.SetupDied = faulty.setupDied
-	res.Contained = faulty.contained
-	res.RestoredPages = faulty.restoredPages
-	res.StateRecords = faulty.stateRecords
-	res.StateDetected = faulty.stateDetected
-	res.StateEvictions = faulty.stateEvictions
-	res.StateRebuilds = faulty.stateRebuilds
-	res.StateScrubs = faulty.stateScrubs
-	res.StateDiverged = faulty.stateDiverged
-	res.StateUndetected = faulty.stateUndetected
-	res.LinesDisabled = faulty.linesDisabled
-	res.DisabledFrac = faulty.disabledFrac
-	res.StrikeHist = faulty.strikeHist
-	res.BurstEpisodes = faulty.burstEpisodes
-	res.PermanentHits = faulty.permanentHits
-	res.IntermittentHits = faulty.intermittentHits
-	res.SpatialBackoffs = faulty.spatialBackoffs
-	res.LevelPackets = faulty.levelPackets
-	res.Switches = faulty.switches
-	res.Timeline = faulty.timeline
-
+	faulty, err := m.run(trace)
+	if err != nil {
+		return nil, fmt.Errorf("clumsy: faulty run failed: %w", err)
+	}
+	res := faulty.Result
+	res.Config = cfg
+	res.GoldenCycles = golden.Cycles
+	res.GoldenInstrs = golden.Instrs
+	res.GoldenDelay = golden.Delay
+	res.GoldenEnergy = golden.Energy
+	res.GoldenL1DStats = golden.L1DStats
 	res.Report = metrics.Compare(golden.rec, faulty.rec)
-	if faulty.fatal != nil && res.Report.Processed == 0 {
+	if res.FatalErr != nil && res.Report.Processed == 0 {
 		// A run that died before completing a single packet has no
 		// meaningful per-packet delay; charge the golden delay and let the
 		// maximal fallibility carry the penalty (the paper reports such
 		// configurations as off-scale bars).
-		res.Delay = golden.delay
+		res.Delay = golden.Delay
 	}
-	return res, nil
+	return &res, nil
 }
 
 // injection describes the fault process of a run; nil means fault-free.
@@ -491,383 +464,24 @@ type injection struct {
 	planes Planes
 }
 
-// onceResult is the outcome of a single execution.
+// onceResult is the outcome of one machine's run: the measured fields of
+// a Result plus the bookkeeping only the run pair and telemetry read.
+// finish is the one place that writes its cycle and instruction counters.
 type onceResult struct {
+	Result
+
 	rec             *metrics.Recorder
-	cycles          float64
-	breakdown       cache.CycleBreakdown
-	instrs          uint64
-	delay           float64
-	maxPacketInstrs uint64
-	energy          energy.Breakdown
-	l1dStats        cache.Stats
-	recovery        cache.RecoveryStats
-	fatal           error
-	setupDied       bool
-	levelPackets    []uint64
-	switches        int
-	timeline        []FreqEvent
-
-	// Fault-containment accounting. drops counts packet_drop events (one
-	// per fatal error, whether aborted or contained); contained and
-	// restoredPages cover only contained drops; watchdogKills counts
-	// watchdog trips among the fatal errors.
+	maxPacketInstrs uint64 // the worst completed packet, for the watchdog budget
+	// drops counts packet_drop events (one per fatal error, whether
+	// aborted or contained); watchdogKills counts watchdog trips among
+	// them.
 	drops         int
-	contained     int
-	restoredPages uint64
 	watchdogKills int
-
-	// State-integrity accounting (zero for stateless apps).
-	stateRecords    int
-	stateDetected   uint64
-	stateEvictions  uint64
-	stateRebuilds   uint64
-	stateScrubs     uint64
-	stateDiverged   int
-	stateUndetected int
-
-	// Recovery-ladder accounting (zero while the ladder is dormant).
-	linesDisabled    int
-	disabledFrac     float64
-	strikeHist       [8]uint64
-	burstEpisodes    uint64
-	permanentHits    uint64
-	intermittentHits uint64
-	spatialBackoffs  int
 }
 
 // appBlocks is the size of the synthetic code segment, comfortably above
 // any application's basic-block count.
 const appBlocks = 32
-
-func runOnce(cfg Config, trace *packet.Trace, inj *injection, budget uint64) (*onceResult, error) {
-	spaceBytes := cfg.SpaceBytes
-	if spaceBytes == 0 {
-		spaceBytes = autoSpaceBytes(trace)
-	}
-	space := simmem.NewSpace(spaceBytes)
-
-	var proc fault.Process
-	var burst *fault.Burst
-	var stuck *fault.StuckAt
-	if inj != nil {
-		proc, burst, stuck = newFaultProcess(cfg, inj.scale)
-	} else {
-		// The golden pass never enables its process, so every regime is
-		// fault-free there: it takes the paper process and reads neither
-		// Regime nor FaultScale, which keeps both out of the golden key.
-		proc = fault.NewInjector(fault.NewModel(1), fault.NewRNG(cfg.Seed).Fork(0xfa17), 32)
-		proc.SetEnabled(false)
-	}
-
-	var hc cache.HierarchyConfig
-	if cfg.L1DSize != 0 {
-		hc.L1D = cache.DefaultL1D
-		hc.L1D.SizeBytes = cfg.L1DSize
-	}
-	h, err := cache.NewHierarchyWith(space, proc, cfg.Detection, cfg.Strikes, hc)
-	if err != nil {
-		return nil, err
-	}
-	h.L1D.SetSubBlock(cfg.SubBlock)
-	if inj != nil {
-		// Arm the line-disable rung of the recovery ladder. It stays
-		// dormant (the paper's semantics) unless explicitly configured or
-		// running under the degrade policy.
-		strikes, window := cfg.LineDisableStrikes, cfg.LineDisableWindow
-		if strikes == 0 && cfg.Recovery == RecoverDegrade {
-			strikes = DefaultLineDisableStrikes
-		}
-		if strikes > 0 {
-			if window == 0 {
-				window = DefaultLineDisableWindow
-			}
-			h.L1D.SetLineDisable(strikes, window)
-		}
-		if cfg.PreDisableFrac > 0 {
-			h.L1D.ForceDisable(cfg.PreDisableFrac)
-		}
-	}
-	eng, err := newEngine(h, appBlocks)
-	if err != nil {
-		return nil, err
-	}
-
-	// Telemetry observes the faulty run only; the golden reference pass
-	// stays silent so the counters and trace describe the clumsy
-	// execution. rt is nil when tracing is off — the emit calls below all
-	// vanish behind one branch.
-	tel := cfg.Telemetry
-	if inj == nil {
-		tel = nil
-	}
-	var rt *telemetry.RunTrace
-	if tel != nil {
-		rt = tel.StartRun(eng.totalCycles)
-		h.L1D.SetTelemetry(rt)
-		rt.RunStart(cfg.App, cfg.Packets, cfg.Seed, cfg.CycleTime, cfg.Dynamic,
-			cfg.Detection.String(), cfg.Strikes, cfg.FaultScale)
-		if burst != nil {
-			b, t := burst, rt
-			b.OnTransition = func(bad bool) {
-				if bad {
-					t.BurstEnter(b.Episodes)
-				} else {
-					t.BurstExit(b.Episodes)
-				}
-			}
-		}
-	}
-
-	var ctrl *freqctl.Controller
-	if inj != nil {
-		if cfg.Dynamic {
-			epoch := cfg.EpochPackets
-			if epoch == 0 {
-				epoch = freqctl.DefaultEpochPackets
-			}
-			x1, x2 := cfg.X1, cfg.X2
-			if x1 == 0 {
-				x1 = freqctl.DefaultX1
-			}
-			if x2 == 0 {
-				x2 = freqctl.DefaultX2
-			}
-			ctrl, err = freqctl.NewWith(freqctl.DefaultLevels(), epoch, x1, x2, freqctl.DefaultSwitchPenalty)
-			if err != nil {
-				return nil, err
-			}
-			if tel != nil {
-				wireFreqTelemetry(ctrl, tel.Registry)
-			}
-			if cfg.MinDwellEpochs > 0 {
-				ctrl.SetMinDwell(cfg.MinDwellEpochs)
-			}
-			if cfg.Recovery == RecoverDegrade {
-				// Top rung of the ladder: the controller sees spatial
-				// evidence and backs off when faults spread across lines
-				// or eat capacity faster than line disable can contain.
-				ctrl.SetSpatialPolicy(DefaultSpatialLines, DefaultSpatialDisabledFrac)
-				ctrl.SpatialEvidence = h.L1D.TakeEpochEvidence
-			}
-			h.L1D.SetCycleTime(ctrl.CycleTime())
-		} else {
-			h.L1D.SetCycleTime(cfg.CycleTime)
-		}
-	}
-
-	app, err := apps.New(cfg.App)
-	if err != nil {
-		return nil, err
-	}
-	rec := metrics.NewRecorder()
-	ctx := &apps.Context{Space: space, Mem: dataMemory{eng}, Rec: rec, Exec: eng}
-
-	out := &onceResult{rec: rec}
-
-	// Control plane. A fatal error here always aborts, whatever the
-	// recovery policy: the checkpoint that drop-and-continue restores from
-	// is only taken once Setup has produced a state worth preserving (a
-	// real router would rebuild its tables, not roll them back).
-	if inj != nil && inj.planes&PlaneControl != 0 {
-		proc.SetEnabled(true)
-	}
-	if err := runSetup(app, ctx, trace); err != nil {
-		if !isFatal(err) {
-			return nil, err
-		}
-		out.fatal = err
-		out.setupDied = true
-		out.drops++
-		if errors.Is(err, ErrWatchdog) {
-			out.watchdogKills++
-		}
-		rt.PacketDrop(-1, dropReason(err)) // died during the control plane
-		captureLadder(out, h, burst, stuck, ctrl)
-		finish(out, eng, h, cfg, ctrl, 0, 0)
-		finishTelemetry(tel, rt, out, eng, h, ctrl, 0)
-		return out, nil
-	}
-	proc.SetEnabled(false)
-	rec.BeginPackets()
-	setupCycles := eng.totalCycles()
-
-	// State-integrity machinery: if Setup registered a flow-state table,
-	// install the corruption ladder around it. The guard exists in both
-	// the golden and the faulty pass — verified lookups and scrub walks
-	// must charge the same instruction stream in both, or the golden
-	// reference would stop being a reference — but the ladder only ever
-	// fires where faults exist.
-	var guard *stateGuard
-	if sa, ok := app.(apps.StatefulApp); ok && sa.StateTable() != nil {
-		guard = newStateGuard(sa.StateTable(), h, rt, eng, cfg)
-	}
-
-	// Checkpoint the post-setup state before the injector is re-enabled.
-	// The restore point is the complete architectural memory state — the
-	// backing space (dirty-page granular) plus every cache level (a
-	// line-granular undo log) — so a rolled-back execution continues
-	// bit-exactly as if the failed packet had never run: same values, same
-	// hits and misses, same write-back order. The space commit costs the
-	// pages the packet dirtied and the cache commit is O(1); neither
-	// touches the simulated machine, which keeps drop-policy runs without
-	// fatal errors identical to abort-policy runs.
-	var ckpt *simmem.Checkpoint
-	var cacheState *cache.Snapshot
-	if inj != nil && cfg.Recovery != RecoverAbort {
-		ckpt = space.NewCheckpoint()
-		defer ckpt.Release()
-		cacheState = h.Snapshot(nil)
-	}
-
-	// Data plane.
-	if inj != nil && inj.planes&PlaneData != 0 {
-		proc.SetEnabled(true)
-	}
-	eng.budget = budget
-	parityMark := uint64(0)
-	processed := 0
-	var histInstrs, histCycles *telemetry.Histogram
-	prevCycles := 0.0
-	if tel != nil {
-		histInstrs = tel.Registry.Histogram(telemetry.HistPacketInstructions)
-		histCycles = tel.Registry.Histogram(telemetry.HistPacketCycles)
-		prevCycles = eng.totalCycles()
-	}
-	for i := range trace.Packets {
-		p := &trace.Packets[i]
-		buf, err := dmaPacket(h, p)
-		if err != nil {
-			return nil, err
-		}
-		eng.beginPacket()
-		if guard != nil {
-			guard.packet = i
-		}
-		if err := processPacket(app, ctx, p, buf); err != nil {
-			if errors.Is(err, ErrStateCorrupt) {
-				// The recovery ladder is exhausted: flow state has
-				// diverged beyond what eviction and shadow rebuild can
-				// repair. This outcome is terminal under every policy —
-				// containment can drop a packet, but it cannot un-lose
-				// the table.
-				out.drops++
-				rt.PacketDrop(i, dropReason(err))
-				out.fatal = err
-				break
-			}
-			if !isFatal(err) {
-				return nil, err
-			}
-			// The execution is stuck or trapped; the processor spins for
-			// the remainder of the watchdog budget before the packet is
-			// declared dead, and those cycles are real (Section 4.1: the
-			// reported figures are based on the packets processed until
-			// the fatal error, over the cycles actually burned).
-			if budget > 0 {
-				eng.burnWatchdog(budget)
-			}
-			out.drops++
-			if errors.Is(err, ErrWatchdog) {
-				out.watchdogKills++
-			}
-			rt.PacketDrop(i, dropReason(err))
-			if ckpt == nil {
-				out.fatal = err
-				break
-			}
-			// Contain the fault: drop the packet and roll the whole
-			// memory state — backing space and cache contents — back to
-			// the last packet boundary. Execution resumes with the next
-			// packet on exactly the machine state the failed packet
-			// started from; only its burned cycles remain.
-			pages := ckpt.Restore()
-			h.RestoreSnapshot(cacheState)
-			if guard != nil {
-				guard.st.RestoreShadow()
-			}
-			out.contained++
-			out.restoredPages += uint64(pages)
-			rec.DropPacket()
-			rt.StateRestore(i, pages, dropReason(err))
-			if sr, ok := app.(apps.ScratchResetter); ok {
-				sr.ResetScratch()
-			}
-			if histInstrs != nil {
-				prevCycles = eng.totalCycles()
-			}
-			if cfg.MaxDropRate > 0 {
-				if rate := float64(out.contained) / float64(i+1); rate > cfg.MaxDropRate {
-					out.fatal = fmt.Errorf("%w: %.4f > %.4f after packet %d",
-						ErrDropRateExceeded, rate, cfg.MaxDropRate, i)
-					break
-				}
-			}
-			continue
-		}
-		rec.EndPacket()
-		processed++
-		if n := eng.packetInstrs(); n > out.maxPacketInstrs {
-			out.maxPacketInstrs = n
-		}
-		if histInstrs != nil {
-			histInstrs.Observe(eng.packetInstrs())
-			now := eng.totalCycles()
-			histCycles.Observe(uint64(now - prevCycles))
-			prevCycles = now
-		}
-		if guard != nil && guard.scrubDue(processed) {
-			// Periodic integrity scrub, before the boundary commit so any
-			// repairs fold into the next restore point. A scrub that
-			// exhausts the ladder ends the run like an in-packet
-			// exhaustion would.
-			if err := guard.scrubPass(ctx.Mem, i); err != nil {
-				if !errors.Is(err, ErrStateCorrupt) && !isFatal(err) {
-					return nil, err
-				}
-				out.fatal = err
-				break
-			}
-			if histInstrs != nil {
-				prevCycles = eng.totalCycles() // scrub cycles are not packet cycles
-			}
-		}
-		if ckpt != nil {
-			// Advance the restore point to this packet boundary.
-			ckpt.Commit()
-			cacheState = h.Snapshot(cacheState)
-		}
-		if guard != nil {
-			guard.st.CommitShadow()
-		}
-		if ctrl != nil {
-			newErrors := h.L1D.Recovery.ParityErrors - parityMark
-			parityMark = h.L1D.Recovery.ParityErrors
-			if dec, changed := ctrl.PacketDone(newErrors); changed {
-				h.L1D.SetCycleTime(ctrl.CycleTime())
-				out.timeline = append(out.timeline, FreqEvent{Packet: i + 1, CycleTime: ctrl.CycleTime()})
-				rt.FreqTransition(i+1, dec.String(), ctrl.CycleTime())
-			}
-		}
-	}
-	captureLadder(out, h, burst, stuck, ctrl)
-	finish(out, eng, h, cfg, ctrl, setupCycles, processed)
-	if guard != nil {
-		guard.capture(out)
-		if inj != nil {
-			// End-of-run divergence audit: read the table as the machine
-			// sees it (through the cache, injector off so the audit itself
-			// is clean) and compare against the golden shadow. Runs after
-			// finish so the measured stats exclude audit accesses.
-			proc.SetEnabled(false)
-			if err := guard.audit(out); err != nil {
-				return nil, err
-			}
-		}
-	}
-	finishTelemetry(tel, rt, out, eng, h, ctrl, processed)
-	return out, nil
-}
 
 // newFaultProcess builds the fault process of a faulty run, disabled, per
 // the configured regime. Every regime forks the injector stream off the
@@ -900,97 +514,6 @@ func newFaultProcess(cfg Config, scale float64) (proc fault.Process, burst *faul
 	return proc, burst, stuck
 }
 
-// captureLadder folds the recovery-ladder state of the run — disabled
-// capacity, strike histogram, and the regime- and controller-specific
-// counters — into the result. Every field is zero while the ladder and
-// the new regimes are dormant, so paper-fidelity results are unchanged.
-func captureLadder(out *onceResult, h *cache.Hierarchy, burst *fault.Burst, stuck *fault.StuckAt, ctrl *freqctl.Controller) {
-	out.linesDisabled = h.L1D.DisabledLines()
-	out.disabledFrac = h.L1D.DisabledFraction()
-	out.strikeHist = h.L1D.StrikeHistogram()
-	if burst != nil {
-		out.burstEpisodes = burst.Episodes
-	}
-	if stuck != nil {
-		out.permanentHits = stuck.PermanentHits
-		out.intermittentHits = stuck.IntermittentHits
-	}
-	if ctrl != nil {
-		out.spatialBackoffs = ctrl.SpatialBackoffs
-	}
-}
-
-// runSetup executes the application's control plane with panic isolation:
-// a Go panic raised on corrupted state is converted into a fatal
-// application error instead of unwinding the whole process.
-func runSetup(app apps.App, ctx *apps.Context, trace *packet.Trace) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("%w (setup): %v", ErrAppPanic, r)
-		}
-	}()
-	return app.Setup(ctx, trace)
-}
-
-// processPacket executes one packet with panic isolation. An application
-// that reads fault-corrupted simulated memory can derive an impossible
-// value and panic in host code (slice bounds, division by zero); the
-// recover here turns that into a fatal error the packet loop can contain
-// or abort on, exactly like a watchdog trip.
-//
-//lint:hot-path
-func processPacket(app apps.App, ctx *apps.Context, p *packet.Packet, buf simmem.Addr) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("%w: %v", ErrAppPanic, r) //lint:alloc-ok app-panic diagnostic; a packet that completes never reaches it
-		}
-	}()
-	return app.Process(ctx, p, buf)
-}
-
-// finish folds the accumulated statistics into the result.
-//
-//lint:cycle-accounting
-func finish(out *onceResult, eng *engine, h *cache.Hierarchy, cfg Config, ctrl *freqctl.Controller, setupCycles float64, processed int) {
-	out.cycles = eng.totalCycles()
-	// Fold the per-component attribution: the L1D accumulated its own
-	// data-side split (array / L2 / memory / recovery stalls); the core,
-	// instruction fetch, watchdog burn, and switch penalty join it here.
-	// Every term below is a disjoint share of out.cycles, so the buckets
-	// sum to the total exactly (see cache.CycleBreakdown).
-	bd := h.L1D.Breakdown
-	bd.Compute = eng.core - eng.burned
-	bd.Recovery += eng.burned
-	bd.L1I = h.L1I.Cycles
-	if ctrl != nil {
-		out.cycles += ctrl.PenaltyCycles
-		bd.FreqPenalty = ctrl.PenaltyCycles
-		out.levelPackets = ctrl.LevelPackets
-		out.switches = ctrl.Switches
-	}
-	out.breakdown = bd
-	out.instrs = eng.instrs
-	if processed > 0 {
-		out.delay = (out.cycles - setupCycles) / float64(processed)
-	} else {
-		out.delay = out.cycles // a run that processed nothing: all cost, no packets
-	}
-	out.l1dStats = h.L1D.Stats
-	out.recovery = h.L1D.Recovery
-
-	params := energy.ParamsForL1D(cfg.L1DSize)
-	out.energy = params.Compute(energy.Usage{
-		Cycles:        out.cycles,
-		L1DReadSwing:  h.L1D.Energy.ReadSwing,
-		L1DWriteSwing: h.L1D.Energy.WriteSwing,
-		ParityOn:      cfg.Detection == cache.DetectionParity,
-		ECCOn:         cfg.Detection == cache.DetectionECC,
-		L1IReads:      h.L1I.Stats.Reads,
-		L2Accesses:    h.L2.Stats.Accesses(),
-		MemAccesses:   h.Mem.Stats.Accesses(),
-	})
-}
-
 // isFatal reports whether err is an application-level fatal error (a trap
 // on a corrupted address, a traversal cycle, a watchdog trip, or a
 // contained application panic) rather than a simulator bug.
@@ -1007,60 +530,12 @@ func isTrap(err error) bool {
 	return errors.As(err, &ae)
 }
 
-// dmaPacket places one packet (header + payload) into fresh, line-aligned
-// simulated memory, as a NIC's DMA engine would: directly into the backing
-// store, invalidating any stale cached copies of the range (a wild read
-// through a corrupted pointer may have cached lines of the buffer region
-// before the packet arrived).
-//
-//lint:hot-path
-func dmaPacket(h *cache.Hierarchy, p *packet.Packet) (simmem.Addr, error) {
-	if p.Raw != nil {
-		// Malformed wire image: DMA exactly the bytes the NIC received,
-		// however few. The buffer keeps the canonical minimum footprint
-		// so layouts stay stable.
-		size := (len(p.Raw) + 31) &^ 31
-		if size == 0 {
-			size = 32
-		}
-		buf, err := h.Space.Alloc(size, 32) //lint:alloc-ok Alloc allocates only on its out-of-arena error path
-		if err != nil {
-			return 0, err
-		}
-		if len(p.Raw) > 0 {
-			if err := h.DMA(buf, p.Raw); err != nil { //lint:alloc-ok DMA allocates its fault-diagnostic AccessError and a simulated page on first touch; TestPacketLoopAllocsArePageMaterialisations counts every one
-				return 0, err
-			}
-		}
-		return buf, nil
-	}
-	size := (packet.HeaderLen + len(p.Payload) + 31) &^ 31
-	buf, err := h.Space.Alloc(size, 32) //lint:alloc-ok Alloc allocates only on its out-of-arena error path
-	if err != nil {
-		return 0, err
-	}
-	hdr := p.Header()
-	if err := h.DMA(buf, hdr[:]); err != nil { //lint:alloc-ok DMA allocates its fault-diagnostic AccessError and a simulated page on first touch; TestPacketLoopAllocsArePageMaterialisations counts every one
-		return 0, err
-	}
-	if len(p.Payload) > 0 {
-		if err := h.DMA(buf+packet.HeaderLen, p.Payload); err != nil { //lint:alloc-ok DMA allocates its fault-diagnostic AccessError and a simulated page on first touch; TestPacketLoopAllocsArePageMaterialisations counts every one
-			return 0, err
-		}
-	}
-	return buf, nil
-}
-
 // autoSpaceBytes sizes the simulated memory for the trace: tables plus all
 // packet buffers plus slack.
 func autoSpaceBytes(trace *packet.Trace) int {
 	total := 8 << 20 // tables, code, queues
 	for i := range trace.Packets {
-		s := (trace.Packets[i].WireLen() + 31) &^ 31
-		if s < 32 {
-			s = 32
-		}
-		total += s
+		total += dmaFootprint(&trace.Packets[i])
 	}
 	// Round to the next MiB for stable layouts across nearby trace sizes.
 	return (total + 1<<20) &^ (1<<20 - 1)

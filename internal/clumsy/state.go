@@ -29,7 +29,7 @@ const (
 
 // stateGuard wires a StatefulApp's flow table into the processor: it is
 // the OnCorrupt recovery ladder, the periodic scrub pass, and the
-// end-of-run divergence audit. One guard exists per runOnce, installed in
+// end-of-run divergence audit. One guard exists per machine, installed in
 // the golden and the faulty pass alike so both execute identical
 // instruction streams (the ladder can only fire where faults exist).
 type stateGuard struct {
@@ -142,11 +142,11 @@ func (g *stateGuard) scrubPass(mem simmem.Memory, pkt int) error {
 
 // capture copies the guard's counters into the run result.
 func (g *stateGuard) capture(out *onceResult) {
-	out.stateRecords = g.st.Records()
-	out.stateDetected = g.detected
-	out.stateEvictions = g.evictions
-	out.stateRebuilds = g.rebuilds
-	out.stateScrubs = g.scrubPasses
+	out.StateRecords = g.st.Records()
+	out.StateDetected = g.detected
+	out.StateEvictions = g.evictions
+	out.StateRebuilds = g.rebuilds
+	out.StateScrubs = g.scrubPasses
 }
 
 // audit is the end-of-run divergence check of the faulty pass: with the
@@ -177,9 +177,9 @@ func (g *stateGuard) audit(out *onceResult) error {
 		if !diverged {
 			continue
 		}
-		out.stateDiverged++
+		out.StateDiverged++
 		if g.st.SumOf(g.words, idx) == storedSum {
-			out.stateUndetected++
+			out.StateUndetected++
 		}
 	}
 	return nil

@@ -7,7 +7,6 @@ import (
 	"clumsy/internal/cache"
 	"clumsy/internal/freqctl"
 	"clumsy/internal/radix"
-	"clumsy/internal/simmem"
 	"clumsy/internal/telemetry"
 )
 
@@ -43,17 +42,18 @@ func wireFreqTelemetry(ctrl *freqctl.Controller, reg *telemetry.Registry) {
 	}
 }
 
-// finishTelemetry flushes one faulty run's accumulated statistics into the
+// flushTelemetry flushes one faulty run's accumulated statistics into the
 // registry and closes the run trace. The simulator's hot paths keep their
 // plain struct counters; this once-per-run flush is what makes the
 // telemetry layer free while a run executes.
-func finishTelemetry(tel *telemetry.Telemetry, rt *telemetry.RunTrace, out *onceResult, eng *engine, h *cache.Hierarchy, ctrl *freqctl.Controller, processed int) {
-	if tel == nil {
+func (m *machine) flushTelemetry() {
+	if m.tel == nil {
 		return
 	}
-	reg := tel.Registry
+	reg := m.tel.Registry
+	out, eng, h, ctrl := m.out, m.eng, m.h, m.ctrl
 	reg.Counter(telemetry.CtrRunCount).Inc()
-	if out.fatal != nil {
+	if out.FatalErr != nil {
 		reg.Counter(telemetry.CtrRunFatal).Inc()
 	}
 	// Drops are counted from the actual per-packet drop events, not
@@ -66,19 +66,19 @@ func finishTelemetry(tel *telemetry.Telemetry, rt *telemetry.RunTrace, out *once
 	if out.watchdogKills > 0 {
 		reg.Counter(telemetry.CtrWatchdogKills).Add(uint64(out.watchdogKills))
 	}
-	if out.contained > 0 {
-		reg.Counter(telemetry.CtrRecoveryContained).Add(uint64(out.contained))
-		reg.Counter(telemetry.CtrRecoveryRestoredPages).Add(out.restoredPages)
+	if out.Contained > 0 {
+		reg.Counter(telemetry.CtrRecoveryContained).Add(uint64(out.Contained))
+		reg.Counter(telemetry.CtrRecoveryRestoredPages).Add(out.RestoredPages)
 	}
-	reg.Counter(telemetry.CtrRunPacketsProcessed).Add(uint64(processed))
+	reg.Counter(telemetry.CtrRunPacketsProcessed).Add(uint64(m.processed))
 	reg.Counter(telemetry.CtrRunInstructions).Add(eng.instrs)
-	reg.Counter(telemetry.CtrRunCycles).Add(uint64(out.cycles))
+	reg.Counter(telemetry.CtrRunCycles).Add(uint64(out.Cycles))
 
 	// Per-component cycle attribution: the same total, split by where the
 	// cycles went. Counters are integral, so each bucket is truncated
 	// independently; consumers wanting the exact partition read the
 	// Breakdown fields off the Result.
-	bd := out.breakdown
+	bd := out.Breakdown
 	reg.Counter(telemetry.CtrCyclesCompute).Add(uint64(bd.Compute))
 	reg.Counter(telemetry.CtrCyclesL1DStall).Add(uint64(bd.L1D))
 	reg.Counter(telemetry.CtrCyclesL1IStall).Add(uint64(bd.L1I))
@@ -106,16 +106,16 @@ func finishTelemetry(tel *telemetry.Telemetry, rt *telemetry.RunTrace, out *once
 	if rec.LineDisables > 0 {
 		reg.Counter(telemetry.CtrRecoveryLineDisabled).Add(rec.LineDisables)
 	}
-	if out.linesDisabled > 0 {
-		reg.Counter(telemetry.CtrCacheL1DLinesDisabled).Add(uint64(out.linesDisabled))
+	if out.LinesDisabled > 0 {
+		reg.Counter(telemetry.CtrCacheL1DLinesDisabled).Add(uint64(out.LinesDisabled))
 	}
-	if out.burstEpisodes > 0 {
-		reg.Counter(telemetry.CtrFaultBurstEpisodes).Add(out.burstEpisodes)
+	if out.BurstEpisodes > 0 {
+		reg.Counter(telemetry.CtrFaultBurstEpisodes).Add(out.BurstEpisodes)
 	}
-	if out.permanentHits > 0 {
-		reg.Counter(telemetry.CtrFaultPermanentHits).Add(out.permanentHits)
+	if out.PermanentHits > 0 {
+		reg.Counter(telemetry.CtrFaultPermanentHits).Add(out.PermanentHits)
 	}
-	if esc := rec.LineDisables + uint64(out.spatialBackoffs); esc > 0 {
+	if esc := rec.LineDisables + uint64(out.SpatialBackoffs); esc > 0 {
 		reg.Counter(telemetry.CtrRecoveryEscalations).Add(esc)
 	}
 
@@ -125,19 +125,19 @@ func finishTelemetry(tel *telemetry.Telemetry, rt *telemetry.RunTrace, out *once
 	}
 
 	// Flow-state integrity counters; all zero for stateless apps.
-	if out.stateDetected > 0 {
-		reg.Counter(telemetry.CtrStateDetected).Add(out.stateDetected)
+	if out.StateDetected > 0 {
+		reg.Counter(telemetry.CtrStateDetected).Add(out.StateDetected)
 	}
-	if out.stateEvictions > 0 {
-		reg.Counter(telemetry.CtrStateEvictions).Add(out.stateEvictions)
+	if out.StateEvictions > 0 {
+		reg.Counter(telemetry.CtrStateEvictions).Add(out.StateEvictions)
 	}
-	if out.stateRebuilds > 0 {
-		reg.Counter(telemetry.CtrStateRebuilds).Add(out.stateRebuilds)
+	if out.StateRebuilds > 0 {
+		reg.Counter(telemetry.CtrStateRebuilds).Add(out.StateRebuilds)
 	}
-	if out.stateScrubs > 0 {
-		reg.Counter(telemetry.CtrStateScrubs).Add(out.stateScrubs)
+	if out.StateScrubs > 0 {
+		reg.Counter(telemetry.CtrStateScrubs).Add(out.StateScrubs)
 	}
-	rt.RunEnd(processed, out.drops, eng.instrs, out.fatal != nil)
+	m.rt.RunEnd(m.processed, out.drops, eng.instrs, out.FatalErr != nil)
 }
 
 // addCacheStats folds one cache level's statistics into the registered
@@ -163,19 +163,21 @@ func addCacheStats(reg *telemetry.Registry, level string, s cache.Stats) {
 }
 
 // dropReason classifies the fatal error that killed a run for the
-// packet_drop trace record.
+// packet_drop trace record. The engine returns ErrWatchdog unwrapped, so
+// testing for it first keeps the commonest drop on errors.Is's equality
+// fast path; like isFatal it leaves the trap test to isTrap, so only a
+// trap allocates here.
 func dropReason(err error) string {
-	var ae *simmem.AccessError
 	switch {
-	case errors.Is(err, ErrStateCorrupt):
-		return "state_corrupt"
 	case errors.Is(err, ErrWatchdog):
 		return "watchdog"
+	case errors.Is(err, ErrStateCorrupt):
+		return "state_corrupt"
 	case errors.Is(err, radix.ErrLoop):
 		return "loop"
 	case errors.Is(err, ErrAppPanic):
 		return "panic"
-	case errors.As(err, &ae):
+	case isTrap(err):
 		return "memory_trap"
 	default:
 		return "fatal"

@@ -6,44 +6,24 @@ import (
 
 	"clumsy/internal/apps"
 	"clumsy/internal/cache"
-	"clumsy/internal/fault"
 	"clumsy/internal/metrics"
 	"clumsy/internal/packet"
 	"clumsy/internal/simmem"
 )
 
-// zeroallocRig is a faulty-path data plane mirroring runOnce's steady
-// state: an enabled fault process under parity detection, per-packet
-// checkpoint commits and cache snapshots for the containing policies, and
-// the line-disable ladder armed under degrade. It exists to pin the
-// allocation behaviour of the per-packet hot loop, which `clumsy bench`
-// reports as allocs_per_packet.
-type zeroallocRig struct {
-	trace      *packet.Trace
-	app        apps.App
-	ctx        *apps.Context
-	eng        *engine
-	h          *cache.Hierarchy
-	ckpt       *simmem.Checkpoint
-	cacheState *cache.Snapshot
-	guard      *stateGuard
-	next       int
-	contained  int // packets dropped and rolled back
-}
-
-// newZeroallocRig builds the rig exactly as runOnce does for the given
-// app, policy, and regime: same fork labels for the fault streams, parity
-// detection with a two-strike retry budget, and the degrade policy arming
-// line disable. Stateful apps additionally get the state guard with a
-// short scrub interval, so the integrity ladder and the periodic scrub
-// are inside the measured loop. A watchdogFactor of 0 leaves the watchdog
-// unarmed; at a moderate fault scale the defensive applications then never
-// die and every measured packet takes the success path (recovery stalls
-// included). A positive factor arms it at that multiple of the worst
-// packet of a fault-free pass over the trace (runOnce's budget rule,
-// measured on the rig's own machine), so at a fault scale where packets
-// die a contained drop pays its restore rather than an unbounded spin.
-func newZeroallocRig(t *testing.T, appName string, policy RecoveryPolicy, regime FaultRegime, scale, watchdogFactor float64) *zeroallocRig {
+// allocMachine builds the production faulty machine the allocation pins
+// step, the way runFaulty builds it: parity detection with a two-strike
+// retry budget at Cr 0.5, faults on the data plane only, the degrade
+// policy arming line disable, and — for the stateful apps — the state
+// guard with a 16-packet scrub interval, so the integrity ladder and the
+// periodic scrub are inside the measured windows. A watchdogFactor of 0
+// leaves the watchdog unarmed; at a moderate fault scale the defensive
+// applications then never die and every measured packet completes
+// (recovery stalls included). A positive factor arms it at that multiple
+// of the golden pass's worst packet, runFaulty's budget rule, so at a
+// fault scale where packets die a contained drop pays its restore rather
+// than an unbounded spin. The 64-packet trace is served cyclically.
+func allocMachine(t *testing.T, appName string, policy RecoveryPolicy, regime FaultRegime, scale, watchdogFactor float64) (*machine, *packet.Trace) {
 	t.Helper()
 	app, err := apps.New(appName)
 	if err != nil {
@@ -53,129 +33,141 @@ func newZeroallocRig(t *testing.T, appName string, policy RecoveryPolicy, regime
 	if err != nil {
 		t.Fatal(err)
 	}
-	space := simmem.NewSpace(autoSpaceBytes(trace))
-	model := fault.NewModel(scale)
-	seedRNG := fault.NewRNG(7)
-	var proc fault.Process
-	switch regime {
-	case RegimeBurst:
-		proc = fault.NewBurst(model, seedRNG.Fork(0xfa17), 32, fault.DefaultBurstParams())
-	case RegimePermanent:
-		inner := fault.NewInjector(model, seedRNG.Fork(0xfa17), 32)
-		proc = fault.NewStuckAt(inner, seedRNG.Fork(0x57ac),
-			cache.DefaultL1D.SizeBytes/4, fault.DefaultStuckAtParams())
-	default:
-		proc = fault.NewInjector(model, seedRNG.Fork(0xfa17), 32)
-	}
-	proc.SetEnabled(false)
-	h, err := cache.NewHierarchyWith(space, proc, cache.DetectionParity, 2, cache.HierarchyConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.L1D.SetCycleTime(0.5)
-	if policy == RecoverDegrade {
-		h.L1D.SetLineDisable(DefaultLineDisableStrikes, DefaultLineDisableWindow)
-	}
-	eng, err := newEngine(h, appBlocks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := metrics.NewRecorder()
-	ctx := &apps.Context{Space: space, Mem: dataMemory{eng}, Rec: rec, Exec: eng}
-	if err := app.Setup(ctx, trace); err != nil {
-		t.Fatalf("setup: %v", err)
-	}
-	rec.BeginPackets()
-	r := &zeroallocRig{trace: trace, app: app, ctx: ctx, eng: eng, h: h}
-	if sa, ok := app.(apps.StatefulApp); ok && sa.StateTable() != nil {
-		// ScrubInterval 16 puts several full scrub passes inside the
-		// 100-packet measurement window, pinning the scrub loop too.
-		r.guard = newStateGuard(sa.StateTable(), h, nil, eng, Config{ScrubInterval: 16})
-		r.guard.st.CommitShadow()
-	}
+	cfg := Config{App: appName, Seed: 7, CycleTime: 0.5,
+		Detection: cache.DetectionParity, Strikes: 2, ScrubInterval: 16,
+		FaultScale: scale, Planes: PlaneData, Regime: regime, Recovery: policy}
+	var budget uint64
 	if watchdogFactor > 0 {
-		var worst uint64
-		for i := range trace.Packets {
-			p := &trace.Packets[i]
-			buf, err := dmaPacket(h, p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			eng.beginPacket()
-			if err := processPacket(app, ctx, p, buf); err != nil {
-				t.Fatalf("fault-free packet %d: %v", i, err)
-			}
-			worst = max(worst, eng.packetInstrs())
+		golden, err := runGolden(cfg, trace)
+		if err != nil {
+			t.Fatal(err)
 		}
-		eng.budget = uint64(watchdogFactor * float64(worst))
+		budget = uint64(watchdogFactor * float64(golden.maxPacketInstrs))
 	}
-	if policy != RecoverAbort {
-		r.ckpt = space.NewCheckpoint()
-		t.Cleanup(r.ckpt.Release)
-		r.cacheState = h.Snapshot(nil)
-	}
-	proc.SetEnabled(true)
-	return r
-}
-
-// step runs one packet through the steady-state loop: DMA, execution, and
-// — for the containing policies — the checkpoint commit plus the cache
-// snapshot that advance the restore point. A fatal error under a
-// containing policy is handled as runOnce handles it: the watchdog burn,
-// the rollback of the space and the caches, the flow-state shadow
-// restore, and the scratch reset. The recorder's EndPacket and DropPacket
-// are deliberately excluded: they are measurement harness, not simulated
-// machine, and their per-packet record handling allocates by design.
-func (r *zeroallocRig) step() error {
-	p := &r.trace.Packets[r.next%len(r.trace.Packets)]
-	r.next++
-	buf, err := dmaPacket(r.h, p)
+	m, err := newMachine(cfg, trace, &injection{scale: scale, planes: PlaneData}, budget, placeFresh, nil)
 	if err != nil {
-		return err
+		t.Fatal(err)
 	}
-	r.eng.beginPacket()
-	if r.guard != nil {
-		r.guard.packet = r.next - 1
+	t.Cleanup(m.release)
+	if m.dead {
+		t.Fatalf("setup died: %v", m.out.FatalErr)
 	}
-	if err := processPacket(r.app, r.ctx, p, buf); err != nil {
-		if r.ckpt == nil || !isFatal(err) {
-			return err
-		}
-		if r.eng.budget > 0 {
-			r.eng.burnWatchdog(r.eng.budget)
-		}
-		r.ckpt.Restore()
-		r.h.RestoreSnapshot(r.cacheState)
-		if r.guard != nil {
-			r.guard.st.RestoreShadow()
-		}
-		if sr, ok := r.app.(apps.ScratchResetter); ok {
-			sr.ResetScratch()
-		}
-		r.contained++
-		return nil
-	}
-	if r.guard != nil && r.guard.scrubDue(r.next) {
-		if err := r.guard.scrubPass(r.ctx.Mem, r.next-1); err != nil {
-			return err
-		}
-	}
-	if r.ckpt != nil {
-		r.ckpt.Commit()
-		r.cacheState = r.h.Snapshot(r.cacheState)
-	}
-	if r.guard != nil {
-		r.guard.st.CommitShadow()
-	}
-	return nil
+	return m, trace
 }
 
-// TestSteadyStatePacketLoopZeroAlloc pins the steady-state packet loop at
-// zero heap allocations per packet under every app, recovery policy, and
-// fault regime — including the stateful apps with the integrity guard and
-// periodic scrub armed. A regression here shows up as allocs_per_packet
-// drift in `clumsy bench` snapshots; this test catches it without
-// snapshot noise.
+// cursor serves a trace cyclically to a machine.
+type cursor struct {
+	m    *machine
+	tr   *packet.Trace
+	next int
+}
+
+func (c *cursor) packet() (int, *packet.Packet) {
+	i := c.next
+	c.next++
+	return i, &c.tr.Packets[i%len(c.tr.Packets)]
+}
+
+// steps runs n packets through the production step.
+func (c *cursor) steps(t *testing.T, n int) {
+	t.Helper()
+	for range n {
+		i, p := c.packet()
+		if _, err := c.m.step(i, p); err != nil {
+			t.Fatalf("packet %d: %v", i, err)
+		}
+		if c.m.dead {
+			t.Fatalf("packet %d ended the run: %v", i, c.m.out.FatalErr)
+		}
+	}
+}
+
+// residentPages counts the materialised space and shadow pages.
+func residentPages(m *machine) int {
+	n := m.h.Space.ResidentPages()
+	if m.ckpt != nil {
+		n += m.ckpt.ResidentPages()
+	}
+	return n
+}
+
+// window is the allocation ledger of a measured stretch of packets.
+type window struct {
+	mallocs uint64 // heap allocations the stretch made
+	pages   uint64 // space and shadow pages it materialised
+	replay  uint64 // allocations of recording its observations afresh
+	drops   int    // packets contained inside it
+}
+
+// measure steps n packets through the production step and accounts for
+// their heap allocations. Simulated memory is paged in lazily, so the
+// machine's only allocations are the space pages it writes for the first
+// time (a DMA buffer reaching a fresh page, a write-back into one) and the
+// shadow pages Commit adds for them. The recorder's allocations —
+// EndPacket starts a fresh observation slice per packet — are counted by
+// replaying the window's records into a recorder whose log starts at the
+// same length and capacity. testing.AllocsPerRun truncates its per-run
+// mean, which would hide a stray allocation; this counts them all.
+func (c *cursor) measure(t *testing.T, n int) window {
+	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	m := c.m
+	n0, c0 := len(m.rec.Packets), cap(m.rec.Packets)
+	contained, pages := m.out.Contained, residentPages(m)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	c.steps(t, n)
+	runtime.ReadMemStats(&after)
+	return window{
+		mallocs: after.Mallocs - before.Mallocs,
+		pages:   uint64(residentPages(m) - pages),
+		replay:  replayAllocs(m.rec.Packets[n0:], n0, c0),
+		drops:   m.out.Contained - contained,
+	}
+}
+
+// replayAllocs counts the heap allocations of recording recs into a fresh
+// recorder whose packet log starts at length n and capacity c.
+func replayAllocs(recs []metrics.PacketRecord, n, c int) uint64 {
+	r := metrics.NewRecorder()
+	r.BeginPackets()
+	r.Packets = make([]metrics.PacketRecord, n, c)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, p := range recs {
+		if p.Dropped {
+			r.DropPacket()
+			continue
+		}
+		for _, o := range p.Obs {
+			r.Observe(o.Name, o.Value)
+		}
+		r.EndPacket()
+	}
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
+// checkAttributed fails unless every allocation of a drop-free window is a
+// page materialisation or the observation log's.
+func checkAttributed(t *testing.T, w window, n int) {
+	t.Helper()
+	if w.drops != 0 {
+		t.Fatalf("the window contained %d drops, whose partial observations cannot be replayed", w.drops)
+	}
+	if w.mallocs != w.pages+w.replay {
+		t.Errorf("%d packets made %d heap allocations; %d page materialisations and %d of the observation log account for %d",
+			n, w.mallocs, w.pages, w.replay, w.pages+w.replay)
+	}
+}
+
+// TestSteadyStatePacketLoopZeroAlloc pins the machine's own share of the
+// steady-state packet step at zero heap allocations under every app,
+// recovery policy, and fault regime — including the stateful apps with the
+// integrity guard and periodic scrub armed: every allocation of a measured
+// window is a page materialisation or the recorder's. A regression here
+// shows up as allocs_per_packet drift in `clumsy bench` snapshots; this
+// test catches it without snapshot noise.
 func TestSteadyStatePacketLoopZeroAlloc(t *testing.T) {
 	policies := []struct {
 		pol  RecoveryPolicy
@@ -204,30 +196,24 @@ func TestSteadyStatePacketLoopZeroAlloc(t *testing.T) {
 						// removes the faulty line and yields a steady state.
 						t.Skip("permanent faults in flow state are terminal without line disable")
 					}
-					r := newZeroallocRig(t, appName, p.pol, g.reg, 25, 0)
-					for i := 0; i < 200; i++ {
-						if err := r.step(); err != nil {
-							t.Fatalf("warm-up packet %d: %v", i, err)
-						}
+					m, tr := allocMachine(t, appName, p.pol, g.reg, 25, 0)
+					c := &cursor{m: m, tr: tr}
+					c.steps(t, 200)
+					scrubs := uint64(0)
+					if m.guard != nil {
+						scrubs = m.guard.scrubPasses
 					}
-					allocs := testing.AllocsPerRun(100, func() {
-						if err := r.step(); err != nil {
-							t.Fatalf("measured packet: %v", err)
-						}
-					})
-					if allocs != 0 {
-						t.Errorf("steady-state packet loop allocates %.2f times per packet, want 0", allocs)
+					checkAttributed(t, c.measure(t, 100), 100)
+					// Self-check: the window must actually exercise the
+					// faulty path, or a clean ledger proves nothing.
+					if m.h.L1D.Recovery.FaultsOnRead+m.h.L1D.Recovery.FaultsOnWrite == 0 {
+						t.Fatal("no faults injected; the zero-alloc result is vacuous")
 					}
-					// Self-check: the rig must actually exercise the faulty
-					// path, or a zero result proves nothing.
-					if r.h.L1D.Recovery.FaultsOnRead+r.h.L1D.Recovery.FaultsOnWrite == 0 {
-						t.Fatal("rig injected no faults; the zero-alloc result is vacuous")
+					if m.h.L1D.Recovery.ParityErrors == 0 {
+						t.Fatal("no parity errors detected; recovery path unexercised")
 					}
-					if r.h.L1D.Recovery.ParityErrors == 0 {
-						t.Fatal("rig detected no parity errors; recovery path unexercised")
-					}
-					if r.guard != nil && r.guard.scrubPasses == 0 {
-						t.Fatal("stateful rig never scrubbed; the guard path is unexercised")
+					if m.guard != nil && m.guard.scrubPasses == scrubs {
+						t.Fatal("the stateful machine never scrubbed in the window; the guard path is unexercised")
 					}
 				})
 			}
@@ -235,110 +221,93 @@ func TestSteadyStatePacketLoopZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestContainedPacketLoopZeroAlloc pins the rollback path at zero heap
-// allocations per packet: drr under degrade in the burst regime with the
-// watchdog at 10x, like the restore-heavy run of the benchmark's
+// TestContainedPacketLoopZeroAlloc pins the rollback half of the step at
+// zero heap allocations of its own: drr under degrade in the burst regime
+// with the watchdog at 10x, like the restore-heavy run of the benchmark's
 // run-contain workload, but at FaultScale 1000 so that packets of the
-// rig's short trace die and are contained inside the measured window,
-// interleaving commits with restores of the space and the caches.
+// short trace die and are contained inside the measured 800-packet
+// window, interleaving commits with restores of the space and the caches. A
+// dropped packet's partial observations are discarded, so they cannot be
+// replayed; the window therefore drives step's halves itself and measures
+// contain, the second half of every dropped packet, on its own, where the
+// recorder's drop marker is the only allocation allowed.
 func TestContainedPacketLoopZeroAlloc(t *testing.T) {
-	r := newZeroallocRig(t, "drr", RecoverDegrade, RegimeBurst, 1000, 10)
-	for i := 0; i < 200; i++ {
-		if err := r.step(); err != nil {
-			t.Fatalf("warm-up packet %d: %v", i, err)
+	m, tr := allocMachine(t, "drr", RecoverDegrade, RegimeBurst, 1000, 10)
+	c := &cursor{m: m, tr: tr}
+	c.steps(t, 200)
+
+	drops := 0
+	func() {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		for range 800 {
+			i, p := c.packet()
+			fatal, err := m.execute(i, p)
+			if err != nil {
+				t.Fatalf("packet %d: %v", i, err)
+			}
+			if fatal == nil {
+				if err := m.commit(i); err != nil || m.dead {
+					t.Fatalf("packet %d: err %v, fatal %v", i, err, m.out.FatalErr)
+				}
+				continue
+			}
+			n0, c0 := len(m.rec.Packets), cap(m.rec.Packets)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			err = m.contain(i, fatal)
+			runtime.ReadMemStats(&after)
+			if err != nil || m.dead {
+				t.Fatalf("packet %d: err %v, fatal %v", i, err, m.out.FatalErr)
+			}
+			drops++
+			if got, want := after.Mallocs-before.Mallocs, replayAllocs(m.rec.Packets[n0:], n0, c0); got != want {
+				t.Errorf("containing packet %d (%v) made %d heap allocations; the recorder's drop marker accounts for %d", i, fatal, got, want)
+			}
 		}
-	}
-	before := r.contained
-	allocs := testing.AllocsPerRun(100, func() {
-		if err := r.step(); err != nil {
-			t.Fatalf("measured packet: %v", err)
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("packet loop with contained drops allocates %.2f times per packet, want 0", allocs)
-	}
-	// Self-check: the measured window must contain rollbacks, or a zero
-	// result says nothing about the restore path.
-	if r.contained == before {
+	}()
+	// Self-check: the measured window must contain rollbacks, or a clean
+	// ledger says nothing about the restore path.
+	if drops == 0 {
 		t.Fatal("no packet was contained in the measured window; the rollback path is unexercised")
 	}
 
-	// The per-packet average rounds a rare allocation away, so pin the
-	// rollback itself exactly: every iteration dirties every L1D frame
-	// and a run of L2 frames, then rolls the space and the caches back.
+	// Pin the rollback of a fully dirtied hierarchy exactly too: every
+	// iteration dirties every L1D frame and a run of L2 frames, then rolls
+	// the space and the caches back.
 	base := simmem.PageBase
-	allocs = testing.AllocsPerRun(100, func() {
+	dirtyAndRollBack := func() {
 		for off := simmem.Addr(0); off < 16*1024; off += 32 {
-			if err := r.h.L1D.Store32(base+off, uint32(off)); err != nil {
+			if err := m.h.L1D.Store32(base+off, uint32(off)); err != nil {
 				t.Fatal(err)
 			}
 		}
-		r.ckpt.Restore()
-		r.h.RestoreSnapshot(r.cacheState)
-	})
-	if allocs != 0 {
-		t.Errorf("rollback of a fully dirtied hierarchy allocates %.2f times, want 0", allocs)
+		m.rollback()
+	}
+	dirtyAndRollBack() // warm-up: the undo logs reach their working size
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range 100 {
+		dirtyAndRollBack()
+	}
+	runtime.ReadMemStats(&after)
+	if mallocs := after.Mallocs - before.Mallocs; mallocs != 0 {
+		t.Errorf("100 rollbacks of a fully dirtied hierarchy made %d heap allocations, want 0", mallocs)
 	}
 }
 
 // TestPacketLoopAllocsArePageMaterialisations accounts for every heap
-// allocation of the packet loop exactly. Simulated memory is paged in
-// lazily, so the loop's only allocations are the space pages it writes for
-// the first time (a DMA buffer reaching a fresh page, a write-back into
-// one) and the shadow pages Commit adds for them. Over a 100-packet window
-// under drop the malloc count must equal the growth in resident space and
-// shadow pages. testing.AllocsPerRun truncates its per-run mean, which
-// would hide a stray allocation; this counts them all.
+// allocation of a drop-policy window of route exactly, and checks that the
+// window pages memory in, so the page half of the ledger is exercised.
 func TestPacketLoopAllocsArePageMaterialisations(t *testing.T) {
-	r := newZeroallocRig(t, "route", RecoverDrop, RegimePaper, 25, 0)
-	for i := 0; i < 200; i++ {
-		if err := r.step(); err != nil {
-			t.Fatalf("warm-up packet %d: %v", i, err)
-		}
-	}
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	padObservationLog(r.ctx.Rec)
-	resident := func() int { return r.h.Space.ResidentPages() + r.ckpt.ResidentPages() }
-	pages0 := resident()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := range 100 {
-		if err := r.step(); err != nil {
-			t.Fatalf("measured packet %d: %v", i, err)
-		}
-	}
-	runtime.ReadMemStats(&after)
-	pages := resident() - pages0
-	if mallocs := after.Mallocs - before.Mallocs; mallocs != uint64(pages) {
-		t.Errorf("100 packets made %d heap allocations, but materialised %d space and shadow pages", mallocs, pages)
-	}
-	// Self-check: the window must page memory in, or equality proves
-	// only that nothing happened.
-	if pages == 0 {
-		t.Fatal("no page was materialised in the measured window; the accounting is vacuous")
-	}
-}
-
-// padObservationLog keeps the recorder's growth out of an allocation
-// count. The rig skips EndPacket, so every packet's observations append to
-// one log that reallocates whenever it fills: harness cost, not machine
-// cost. Padding the log until an append reallocates it at a capacity of
-// thousands of entries leaves headroom for far more observations than a
-// 100-packet window makes (route records about five per packet). Should
-// the headroom ever fall short, the extra allocation fails the count; it
-// cannot hide one.
-func padObservationLog(rec *metrics.Recorder) {
-	const batch = 64
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	for padded := 0; ; padded += batch {
-		last := ms.Mallocs
-		for range batch {
-			rec.Observe("pad", 0)
-		}
-		runtime.ReadMemStats(&ms)
-		if ms.Mallocs != last && padded >= 4096 {
-			return
-		}
+	m, tr := allocMachine(t, "route", RecoverDrop, RegimePaper, 25, 0)
+	c := &cursor{m: m, tr: tr}
+	c.steps(t, 200)
+	w := c.measure(t, 100)
+	checkAttributed(t, w, 100)
+	// Self-check: the window must page memory in and record observations,
+	// or equality proves only that nothing happened.
+	if w.pages == 0 || w.replay == 0 {
+		t.Fatalf("the window materialised %d pages and the log %d allocations; the accounting is vacuous", w.pages, w.replay)
 	}
 }

@@ -29,7 +29,11 @@ var Packages = []string{"internal/clumsy", "internal/cache"}
 // cycle/energy/instruction counter fields. Result-snapshot structs
 // (clumsy.Result, cache.Stats copies) are deliberately not listed: the
 // invariant protects the accumulators the cost model charges into, not the
-// fold-out copies a finished run reports.
+// fold-out copies a finished run reports. clumsy's onceResult is the one
+// run outcome finish folds into; it embeds a Result, so its entry names
+// the promoted counters and the embedded Result itself, and a write
+// through the embedded field (out.Result.Cycles) counts as a write to
+// the promoted one.
 var counterFields = map[string]map[string]bool{
 	"engine":     {"core": true, "instrs": true, "burned": true},
 	"L1Data":     {"Cycles": true},
@@ -40,7 +44,7 @@ var counterFields = map[string]map[string]bool{
 		"Mem": true, "Recovery": true, "FreqPenalty": true,
 	},
 	"EnergyWeights": {"ReadSwing": true, "WriteSwing": true},
-	"onceResult":    {"cycles": true, "instrs": true, "breakdown": true},
+	"onceResult":    {"Cycles": true, "Instrs": true, "Breakdown": true, "Result": true},
 }
 
 // Analyzer is the cycleacct check.
@@ -92,26 +96,41 @@ func checkBody(pass *analysis.Pass, fn *ast.FuncDecl) {
 	})
 }
 
-// report flags lhs when it is a counter field of a live accumulator.
+// report flags lhs when it is a counter field of a live accumulator,
+// whether selected on the accumulator itself or through a chain of its
+// embedded fields.
 func report(pass *analysis.Pass, fn *ast.FuncDecl, lhs ast.Expr) {
 	sel, ok := lhs.(*ast.SelectorExpr)
 	if !ok {
 		return
 	}
-	selection, ok := pass.TypesInfo.Selections[sel]
+	for x := sel; !protected(pass, x, sel.Sel.Name); {
+		// Step out to the struct that embeds x's receiver, if x.X is such
+		// an embedded field (out.Result in out.Result.Cycles).
+		if x, ok = x.X.(*ast.SelectorExpr); !ok {
+			return
+		}
+		if v, ok := pass.TypesInfo.Uses[x.Sel].(*types.Var); !ok || !v.Embedded() {
+			return
+		}
+	}
+	pass.Reportf(sel.Pos(),
+		"direct write to cycle/energy counter field %s outside an accounting function: "+
+			"route it through a //lint:cycle-accounting helper (in %s)",
+		sel.Sel.Name, fn.Name.Name)
+}
+
+// protected reports whether field is a counter of the accumulator that x
+// selects from.
+func protected(pass *analysis.Pass, x *ast.SelectorExpr, field string) bool {
+	selection, ok := pass.TypesInfo.Selections[x]
 	if !ok || selection.Kind() != types.FieldVal {
-		return
+		return false
 	}
 	recv := selection.Recv()
 	if p, ok := recv.(*types.Pointer); ok {
 		recv = p.Elem()
 	}
 	named, ok := recv.(*types.Named)
-	if !ok || !counterFields[named.Obj().Name()][sel.Sel.Name] {
-		return
-	}
-	pass.Reportf(sel.Pos(),
-		"direct write to cycle/energy counter field %s outside an accounting function: "+
-			"route it through a //lint:cycle-accounting helper (in %s)",
-		sel.Sel.Name, fn.Name.Name)
+	return ok && counterFields[named.Obj().Name()][field]
 }

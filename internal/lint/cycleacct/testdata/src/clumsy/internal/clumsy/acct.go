@@ -43,3 +43,29 @@ type Result struct {
 func fold(e *engine, r *Result) {
 	r.Cycles = e.core
 }
+
+// onceResult mirrors the real run outcome: it embeds the Result snapshot
+// but is the accumulator finish folds into, so its counters are protected
+// whether written promoted, through the embedded field, or wholesale.
+type onceResult struct {
+	Result
+	drops int
+}
+
+// finish is the designated fold.
+//
+//lint:cycle-accounting
+func finish(e *engine, out *onceResult) {
+	out.Cycles = e.core
+	out.Result.Cycles += 1
+}
+
+func tamper(out *onceResult) {
+	out.drops++            // bookkeeping, not a counter: no diagnostic
+	out.Cycles = 2         // want `direct write to cycle/energy counter field Cycles`
+	out.Result.Cycles++    // want `direct write to cycle/energy counter field Cycles`
+	out.Result = Result{}  // want `direct write to cycle/energy counter field Result`
+	snapshot := out.Result // a copy is a snapshot again
+	snapshot.Cycles = 3    // no diagnostic
+	out.Result = snapshot  // want `direct write to cycle/energy counter field Result`
+}
