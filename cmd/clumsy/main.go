@@ -7,7 +7,7 @@
 //	clumsy <experiment> [flags]
 //
 // Experiments: table1, fig1b, fig2b, fig3, fig4, fig5, fig6, fig7, fig8,
-// fig9, fig10, fig11, fig12, all, run, stats, bench, list.
+// fig9, fig10, fig11, fig12, all, run, stats, list.
 //
 // Every command accepts the observability flags -trace-out (JSONL event
 // trace of all simulated runs), -cpuprofile/-memprofile (pprof), and
@@ -31,7 +31,6 @@ import (
 
 	"clumsy/internal/apps"
 	"clumsy/internal/atomicio"
-	"clumsy/internal/bench"
 	"clumsy/internal/cache"
 	"clumsy/internal/clumsy"
 	"clumsy/internal/cluster"
@@ -71,9 +70,6 @@ type cliOpts struct {
 	describe    bool
 	out         string
 	tracePath   string
-	quick       bool
-	compare     bool
-	threshold   float64
 	progress    bool
 	nodes       int
 	faulty      int
@@ -81,7 +77,6 @@ type cliOpts struct {
 	wl          *workload.Spec // workload-v2 spec, nil = canonical trace
 	scrub       int
 	stateStr    int
-	args        []string // positional arguments after the flags
 	tel         *telemetry.Telemetry
 }
 
@@ -174,9 +169,6 @@ func run(args []string, w io.Writer) (err error) {
 	churn := fs.Float64("churn", 0, "workload-v2 flow-churn fraction (each churned packet gets a fresh flow identity)")
 	scrub := fs.Int("scrub", 0, "flow-table scrub interval in packets for stateful apps (0 = default, negative = disabled)")
 	stateStrikes := fs.Int("state-strikes", 0, "per-record corruption strike budget before the run is declared unrecoverable (0 = default)")
-	quick := fs.Bool("quick", false, "bench: reduced matrix and packet counts (CI smoke-test scale)")
-	compareFlag := fs.Bool("compare", false, "bench: compare two snapshot files (bench -compare OLD NEW) instead of running")
-	threshold := fs.Float64("threshold", bench.DefaultThreshold, "bench -compare: relative regression gate on tracked metrics")
 	if err := fs.Parse(rest); err != nil {
 		return err
 	}
@@ -234,16 +226,12 @@ func run(args []string, w io.Writer) (err error) {
 		describe:    *describe,
 		out:         *out,
 		tracePath:   *tracePath,
-		quick:       *quick,
-		compare:     *compareFlag,
-		threshold:   *threshold,
 		progress:    *progress,
 		nodes:       *nodes,
 		faulty:      *faulty,
 		dispatch:    *dispatchPolicy,
 		scrub:       *scrub,
 		stateStr:    *stateStrikes,
-		args:        fs.Args(),
 	}
 	if *shape != "" || *shape2 != "" || *adversarial > 0 || *churn > 0 {
 		sh := workload.ShapeSteady
@@ -340,10 +328,10 @@ func run(args []string, w io.Writer) (err error) {
 
 // dispatch routes the command's output: with -out the full rendering is
 // written atomically to the file (a cancelled or failed command leaves no
-// partial file), otherwise it streams to w. The trace and bench commands
-// manage their own -out semantics (binary trace payload; snapshot JSON).
+// partial file), otherwise it streams to w. The trace command manages its
+// own -out semantics (binary trace payload).
 func dispatch(cmd string, o cliOpts, w io.Writer) error {
-	if o.out != "" && cmd != "trace" && cmd != "bench" {
+	if o.out != "" && cmd != "trace" {
 		return atomicio.WriteFile(o.out, func(f io.Writer) error {
 			return execute(cmd, o, f)
 		})
@@ -581,8 +569,6 @@ func execute(cmd string, o cliOpts, w io.Writer) error {
 		}
 	case "trace":
 		return dumpTrace(w, o.app, max(o.packets, 20), max64(o.seed, 1), o.out)
-	case "bench":
-		return benchCommand(o, w)
 	case "verify":
 		claims, err := experiment.VerifyClaims(opt)
 		if err != nil {
@@ -892,14 +878,6 @@ experiments:
           fraction sweep, -app -packets -trials); "fleet -faulty N" runs one
           fleet simulation (-nodes N -dispatch flow|least -packets -seed
           -scale -cr -dynamic, -format json for the machine-readable report)
-  bench   structured performance benchmark: packets/sec, ns/packet,
-          allocs/packet, instructions/packet, and per-component cycle
-          attribution over app x recovery x regime, plus telemetry
-          micro-benchmarks; writes an auto-numbered BENCH_<n>.json snapshot
-          (-out overrides the path, -quick for CI smoke-test scale)
-          bench -compare [-threshold X] [-format json] OLD NEW
-          diffs two snapshots and exits non-zero when a tracked metric
-          regresses beyond the threshold (default 10%)
   list    this text
 
 extensions (beyond the paper's evaluation; -app selects the workload):

@@ -2,6 +2,7 @@ package clumsy
 
 import (
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"clumsy/internal/apps"
@@ -106,24 +107,34 @@ type window struct {
 // shadow pages Commit adds for them. The recorder's allocations —
 // EndPacket starts a fresh observation slice per packet — are counted by
 // replaying the window's records into a recorder whose log starts at the
-// same length and capacity. testing.AllocsPerRun truncates its per-run
-// mean, which would hide a stray allocation; this counts them all.
+// same length and capacity.
 func (c *cursor) measure(t *testing.T, n int) window {
 	t.Helper()
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	m := c.m
 	n0, c0 := len(m.rec.Packets), cap(m.rec.Packets)
 	contained, pages := m.out.Contained, residentPages(m)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	c.steps(t, n)
-	runtime.ReadMemStats(&after)
 	return window{
-		mallocs: after.Mallocs - before.Mallocs,
+		mallocs: mallocs(func() { c.steps(t, n) }),
 		pages:   uint64(residentPages(m) - pages),
 		replay:  replayAllocs(m.rec.Packets[n0:], n0, c0),
 		drops:   m.out.Contained - contained,
 	}
+}
+
+// mallocs returns the exact number of heap allocations f makes, on one
+// OS thread; testing.AllocsPerRun truncates its per-run mean, which would
+// hide a stray allocation. The collector is off while f runs: a GC cycle
+// starting inside f allocates for the runtime itself (a mark worker's
+// goroutine and sudog, a growth of the scavenger's timer heap), which
+// would be charged to f at random.
+func mallocs(f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
 }
 
 // replayAllocs counts the heap allocations of recording recs into a fresh
@@ -132,20 +143,18 @@ func replayAllocs(recs []metrics.PacketRecord, n, c int) uint64 {
 	r := metrics.NewRecorder()
 	r.BeginPackets()
 	r.Packets = make([]metrics.PacketRecord, n, c)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for _, p := range recs {
-		if p.Dropped {
-			r.DropPacket()
-			continue
+	return mallocs(func() {
+		for _, p := range recs {
+			if p.Dropped {
+				r.DropPacket()
+				continue
+			}
+			for _, o := range p.Obs {
+				r.Observe(o.Name, o.Value)
+			}
+			r.EndPacket()
 		}
-		for _, o := range p.Obs {
-			r.Observe(o.Name, o.Value)
-		}
-		r.EndPacket()
-	}
-	runtime.ReadMemStats(&after)
-	return after.Mallocs - before.Mallocs
+	})
 }
 
 // checkAttributed fails unless every allocation of a drop-free window is a
@@ -161,15 +170,10 @@ func checkAttributed(t *testing.T, w window, n int) {
 	}
 }
 
-// TestSteadyStatePacketLoopZeroAlloc pins the machine's own share of the
-// steady-state packet step at zero heap allocations under every app,
-// recovery policy, and fault regime — including the stateful apps with the
-// integrity guard and periodic scrub armed: every allocation of a measured
-// window is a page materialisation or the recorder's. A regression here
-// shows up as allocs_per_packet drift in `clumsy bench` snapshots; this
-// test catches it without snapshot noise.
-func TestSteadyStatePacketLoopZeroAlloc(t *testing.T) {
-	policies := []struct {
+// allocPolicies and allocRegimes are the recovery policies and fault
+// regimes the allocation pins and ceilings sweep, in table order.
+var (
+	allocPolicies = []struct {
 		pol  RecoveryPolicy
 		name string
 	}{
@@ -177,7 +181,7 @@ func TestSteadyStatePacketLoopZeroAlloc(t *testing.T) {
 		{RecoverDrop, "drop"},
 		{RecoverDegrade, "degrade"},
 	}
-	regimes := []struct {
+	allocRegimes = []struct {
 		reg  FaultRegime
 		name string
 	}{
@@ -185,11 +189,22 @@ func TestSteadyStatePacketLoopZeroAlloc(t *testing.T) {
 		{RegimeBurst, "burst"},
 		{RegimePermanent, "permanent"},
 	}
-	for _, appName := range []string{"route", "fw", "flowtrack"} {
-		for _, p := range policies {
-			for _, g := range regimes {
+)
+
+// TestSteadyStatePacketLoopZeroAlloc pins the machine's own share of the
+// steady-state packet step at zero heap allocations under every policy
+// and fault regime, for a table lookup (route), hashing (md5), pattern
+// matching (url) and the stateful apps with the integrity guard and
+// periodic scrub armed (fw, flowtrack): every allocation of a measured
+// window is a page materialisation or the recorder's. The count is exact,
+// so a single stray allocation in the step fails here.
+func TestSteadyStatePacketLoopZeroAlloc(t *testing.T) {
+	for _, appName := range []string{"route", "md5", "url", "fw", "flowtrack"} {
+		stateful := appName == "fw" || appName == "flowtrack"
+		for _, p := range allocPolicies {
+			for _, g := range allocRegimes {
 				t.Run(appName+"/"+p.name+"/"+g.name, func(t *testing.T) {
-					if appName != "route" && g.reg == RegimePermanent && p.pol != RecoverDegrade {
+					if stateful && g.reg == RegimePermanent && p.pol != RecoverDegrade {
 						// A stuck-at bit inside the flow table re-strikes on
 						// every lookup until the recovery ladder exhausts:
 						// terminal by design. Only degrade's line disable
@@ -237,34 +252,28 @@ func TestContainedPacketLoopZeroAlloc(t *testing.T) {
 	c.steps(t, 200)
 
 	drops := 0
-	func() {
-		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-		for range 800 {
-			i, p := c.packet()
-			fatal, err := m.execute(i, p)
-			if err != nil {
-				t.Fatalf("packet %d: %v", i, err)
-			}
-			if fatal == nil {
-				if err := m.commit(i); err != nil || m.dead {
-					t.Fatalf("packet %d: err %v, fatal %v", i, err, m.out.FatalErr)
-				}
-				continue
-			}
-			n0, c0 := len(m.rec.Packets), cap(m.rec.Packets)
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			err = m.contain(i, fatal)
-			runtime.ReadMemStats(&after)
-			if err != nil || m.dead {
+	for range 800 {
+		i, p := c.packet()
+		fatal, err := m.execute(i, p)
+		if err != nil {
+			t.Fatalf("packet %d: %v", i, err)
+		}
+		if fatal == nil {
+			if err := m.commit(i); err != nil || m.dead {
 				t.Fatalf("packet %d: err %v, fatal %v", i, err, m.out.FatalErr)
 			}
-			drops++
-			if got, want := after.Mallocs-before.Mallocs, replayAllocs(m.rec.Packets[n0:], n0, c0); got != want {
-				t.Errorf("containing packet %d (%v) made %d heap allocations; the recorder's drop marker accounts for %d", i, fatal, got, want)
-			}
+			continue
 		}
-	}()
+		n0, c0 := len(m.rec.Packets), cap(m.rec.Packets)
+		got := mallocs(func() { err = m.contain(i, fatal) })
+		if err != nil || m.dead {
+			t.Fatalf("packet %d: err %v, fatal %v", i, err, m.out.FatalErr)
+		}
+		drops++
+		if want := replayAllocs(m.rec.Packets[n0:], n0, c0); got != want {
+			t.Errorf("containing packet %d (%v) made %d heap allocations; the recorder's drop marker accounts for %d", i, fatal, got, want)
+		}
+	}
 	// Self-check: the measured window must contain rollbacks, or a clean
 	// ledger says nothing about the restore path.
 	if drops == 0 {
@@ -284,15 +293,12 @@ func TestContainedPacketLoopZeroAlloc(t *testing.T) {
 		m.rollback()
 	}
 	dirtyAndRollBack() // warm-up: the undo logs reach their working size
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for range 100 {
-		dirtyAndRollBack()
-	}
-	runtime.ReadMemStats(&after)
-	if mallocs := after.Mallocs - before.Mallocs; mallocs != 0 {
-		t.Errorf("100 rollbacks of a fully dirtied hierarchy made %d heap allocations, want 0", mallocs)
+	if n := mallocs(func() {
+		for range 100 {
+			dirtyAndRollBack()
+		}
+	}); n != 0 {
+		t.Errorf("100 rollbacks of a fully dirtied hierarchy made %d heap allocations, want 0", n)
 	}
 }
 
@@ -309,5 +315,48 @@ func TestPacketLoopAllocsArePageMaterialisations(t *testing.T) {
 	// or equality proves only that nothing happened.
 	if w.pages == 0 || w.replay == 0 {
 		t.Fatalf("the window materialised %d pages and the log %d allocations; the accounting is vacuous", w.pages, w.replay)
+	}
+}
+
+// runAllocCeilings bounds the heap allocations of one whole Run per
+// packet, indexed [policy][regime] in allocPolicies/allocRegimes order.
+// Each ceiling is the larger of the plain and -race readings plus 4%,
+// rounded up to 0.1 (Go 1.24, linux/amd64): a run's count jitters by a few
+// allocations (url's by up to about a hundred under -race), while six more
+// per packet breach every cell.
+var runAllocCeilings = []struct {
+	app      string
+	ceilings [3][3]float64
+}{
+	{"route", [3][3]float64{{50.8, 50.8, 50.8}, {50.9, 50.9, 51.0}, {50.9, 50.9, 51.0}}},
+	{"md5", [3][3]float64{{50.7, 50.7, 50.7}, {50.9, 50.9, 51.0}, {51.0, 50.9, 51.0}}},
+	{"url", [3][3]float64{{61.3, 61.2, 60.8}, {61.4, 61.5, 61.3}, {61.6, 62.0, 61.7}}},
+	{"fw", [3][3]float64{{48.8, 48.8, 48.5}, {48.9, 48.9, 48.7}, {48.9, 48.9, 49.0}}},
+}
+
+// TestRunAllocCeilings bounds what the exact step pins leave open — trace
+// generation, setup, the golden pass, Compare and the result — by counting
+// every heap allocation of one whole seeded Run after a warm-up Run.
+func TestRunAllocCeilings(t *testing.T) {
+	for _, c := range runAllocCeilings {
+		for pi, p := range allocPolicies {
+			for gi, g := range allocRegimes {
+				t.Run(c.app+"/"+p.name+"/"+g.name, func(t *testing.T) {
+					cfg := Config{App: c.app, Packets: 150, Seed: 7, FaultScale: 25,
+						CycleTime: 0.5, Detection: cache.DetectionParity, Strikes: 2,
+						Recovery: p.pol, Regime: g.reg}
+					run := func() {
+						if _, err := Run(cfg); err != nil {
+							t.Fatal(err)
+						}
+					}
+					run()
+					got := float64(mallocs(run)) / float64(cfg.Packets)
+					if got > c.ceilings[pi][gi] {
+						t.Errorf("one Run made %.2f heap allocations per packet, ceiling %.1f", got, c.ceilings[pi][gi])
+					}
+				})
+			}
+		}
 	}
 }

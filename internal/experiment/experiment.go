@@ -1,7 +1,7 @@
 // Package experiment regenerates every table and figure of the paper's
 // evaluation (Table I, Figures 1–12). Each experiment returns structured
-// data that the CLI and the benchmark harness render as text; DESIGN.md
-// maps experiment identifiers to the modules they exercise.
+// data that the CLI renders as text; DESIGN.md maps experiment
+// identifiers to the modules they exercise.
 package experiment
 
 import (

@@ -64,31 +64,38 @@ func TestDisabledTraceNoAllocs(t *testing.T) {
 
 // TestCounterNoAllocs asserts the counter/histogram fast path is
 // allocation-free, since the registry is shared by all parallel workers.
+// One measured run of 1000 ops makes the count exact: AllocsPerRun
+// truncates its per-run mean, so 1000 runs of one op would pass up to 999
+// allocations.
 func TestCounterNoAllocs(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("x")
 	h := r.Histogram("y")
-	allocs := testing.AllocsPerRun(1000, func() {
-		c.Inc()
-		h.Observe(7)
+	allocs := testing.AllocsPerRun(1, func() {
+		for range 1000 {
+			c.Inc()
+			h.Observe(7)
+		}
 	})
 	if allocs != 0 {
-		t.Fatalf("counter path allocated %.1f times per op, want 0", allocs)
+		t.Fatalf("1000 counter and histogram ops allocated %.0f times, want 0", allocs)
 	}
 }
 
 // TestEnabledTraceSteadyStateNoAllocs asserts the enabled emit path reuses
-// its scratch buffer once warm.
+// its scratch buffer once warm, counting exactly like TestCounterNoAllocs.
 func TestEnabledTraceSteadyStateNoAllocs(t *testing.T) {
 	sink := NewJSONLSink(io.Discard)
 	tel := New()
 	tel.SetSink(sink)
 	rt := tel.StartRun(func() float64 { return 99 })
 	rt.FaultInjection("read", 1, 42) // warm the buffer
-	allocs := testing.AllocsPerRun(1000, func() {
-		rt.FaultInjection("read", 1, 42)
+	allocs := testing.AllocsPerRun(1, func() {
+		for range 1000 {
+			rt.FaultInjection("read", 1, 42)
+		}
 	})
 	if allocs != 0 {
-		t.Fatalf("enabled trace allocated %.1f times per op after warm-up, want 0", allocs)
+		t.Fatalf("1000 enabled trace emits allocated %.0f times after warm-up, want 0", allocs)
 	}
 }
