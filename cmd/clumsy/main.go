@@ -4,14 +4,14 @@
 //
 // Usage:
 //
-//	clumsy <experiment> [flags]
+//	clumsy <command> [flags]
 //
-// Experiments: table1, fig1b, fig2b, fig3, fig4, fig5, fig6, fig7, fig8,
-// fig9, fig10, fig11, fig12, all, run, stats, list.
-//
-// Every command accepts the observability flags -trace-out (JSONL event
-// trace of all simulated runs), -cpuprofile/-memprofile (pprof), and
-// -progress (grid progress on stderr).
+// `clumsy list` names every command and `clumsy <command> -h` lists the
+// flags that command reads; a flag the command does not read is an error.
+// Every command accepts -out (write the output atomically to a file) and
+// the observability flags -trace-out (JSONL event trace of all simulated
+// runs), -cpuprofile/-memprofile (pprof) and -progress (grid progress on
+// stderr).
 package main
 
 import (
@@ -24,6 +24,7 @@ import (
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
+	"strconv"
 	"strings"
 	"syscall"
 	"text/tabwriter"
@@ -48,137 +49,290 @@ func main() {
 	}
 }
 
-// cliOpts carries every parsed flag through the experiment dispatch so
-// that compound commands (extensions, all) re-dispatch without re-parsing
-// flags or re-initialising the observability stack.
+// cliOpts holds every flag a command can read; each flag is bound to the
+// field it sets. Compound commands (extensions, all) hand the same options
+// to each part without re-parsing flags or re-initialising the
+// observability stack.
 type cliOpts struct {
-	opt         experiment.Options
-	app         string
-	packets     int
-	seed        uint64
-	scale       float64
-	cr          float64
-	crSet       bool // -cr given explicitly (fleet keeps the cluster default otherwise)
-	dynamic     bool
-	parity      bool
-	strikes     int
-	regime      clumsy.FaultRegime
-	recovery    clumsy.RecoveryPolicy
-	maxDropRate float64
-	watchdog    float64
-	format      string
-	describe    bool
-	out         string
-	tracePath   string
-	progress    bool
-	nodes       int
-	faulty      int
-	dispatch    string
-	wl          *workload.Spec // workload-v2 spec, nil = canonical trace
-	scrub       int
-	stateStr    int
-	tel         *telemetry.Telemetry
+	opt   experiment.Options // study scale and campaign (studyFlags)
+	cfg   clumsy.Config      // one simulation (runFlags); trace reads Packets and Seed
+	fleet cluster.Config     // one fleet simulation (fleetFlags)
+	wl    workload.Spec      // workload v2; the zero Spec is the canonical trace
+
+	app        string
+	format     string
+	describe   bool
+	replay     string // -trace: binary trace file to replay
+	journal    string
+	resume     bool
+	out        string
+	traceOut   string
+	cpuprofile string
+	memprofile string
+	progress   bool
+
+	tel *telemetry.Telemetry
 }
 
-// fleetConfig builds the single-run fleet configuration of `fleet -faulty N`.
-func (o cliOpts) fleetConfig(pol cluster.DispatchPolicy) cluster.Config {
-	cfg := cluster.Config{
-		App:             o.app,
-		Nodes:           o.nodes,
-		Packets:         o.packets,
-		Seed:            o.seed,
-		Dispatch:        pol,
-		FaultyNodes:     o.faulty,
-		FaultScale:      o.scale,
-		Dynamic:         o.dynamic,
-		Recovery:        o.recovery,
-		NodeMaxDropRate: o.maxDropRate,
-		Workload:        o.wl,
-		Telemetry:       o.tel,
+// workload returns the workload-v2 spec, or nil for the canonical trace.
+func (o *cliOpts) workload() *workload.Spec {
+	if o.wl == (workload.Spec{}) {
+		return nil
 	}
-	if o.crSet {
-		cfg.CycleTime = o.cr
-	}
+	return &o.wl
+}
+
+// runConfig builds the configuration of the run/stats commands.
+func (o *cliOpts) runConfig() clumsy.Config {
+	cfg := o.cfg
+	cfg.App = o.app
+	cfg.Workload = o.workload()
 	return cfg
 }
 
-// runConfig builds the single-run configuration of the run/stats commands.
-func (o cliOpts) runConfig() clumsy.Config {
-	return clumsy.Config{
-		App:            o.app,
-		Packets:        max(o.packets, 1000),
-		Seed:           max64(o.seed, 1),
-		CycleTime:      o.cr,
-		Dynamic:        o.dynamic,
-		Detection:      detectionOf(o.parity),
-		Strikes:        o.strikes,
-		FaultScale:     maxf(o.scale, 1),
-		Regime:         o.regime,
-		Recovery:       o.recovery,
-		MaxDropRate:    o.maxDropRate,
-		WatchdogFactor: o.watchdog,
-		ScrubInterval:  o.scrub,
-		StateStrikes:   o.stateStr,
-		Workload:       o.wl,
+// fleetConfig builds the configuration of `fleet -faulty N`; scale, seed
+// and containment come from the study flags the degradation study reads.
+func (o *cliOpts) fleetConfig() cluster.Config {
+	cfg := o.fleet
+	cfg.App = o.app
+	cfg.Packets, cfg.Seed, cfg.FaultScale = o.opt.Packets, o.opt.Seed, o.opt.FaultScale
+	cfg.Recovery, cfg.NodeMaxDropRate = o.opt.Recovery, o.opt.MaxDropRate
+	cfg.Workload, cfg.Telemetry = o.workload(), o.tel
+	return cfg
+}
+
+// command is one clumsy subcommand: the flag groups it reads besides
+// obsFlags (which every command reads) and the function that runs it.
+type command struct {
+	name   string
+	help   string // one line for the command list
+	groups []group
+	run    func(o *cliOpts, w io.Writer) error
+}
+
+// group registers a set of related flags, each bound to the cliOpts field
+// it sets.
+type group func(fs *flag.FlagSet, o *cliOpts)
+
+// commands is the command table, in the order `clumsy list` prints it.
+func commands() []command {
+	figure := []group{formatFlags}
+	grid := []group{formatFlags, studyFlags}
+	perApp := []group{formatFlags, studyFlags, appFlag("route")}
+	sim := []group{appFlag("route"), runFlags, workloadFlags}
+	return []command{
+		{"fig1b", "voltage swing vs cycle time (circuit model)", figure, figureCmd(experiment.Fig1b)},
+		{"fig2b", "SRAM noise-immunity curves", figure, figureCmd(experiment.Fig2b)},
+		{"fig3", "switching-combination noise distribution", figure, figureCmd(experiment.Fig3)},
+		{"fig4", "fault probability vs voltage swing", figure, figureCmd(experiment.Fig4)},
+		{"fig5", "fault probability vs cycle time + fitted formula (Eq. 4)", figure, figureCmd(experiment.Fig5)},
+		{"table1", "application properties and fallibility factors", grid, study(experiment.Table1, experiment.Table1Render)},
+		{"fig6", "route error probabilities (control/data/both planes)", perApp, errorFigure("Figure 6")},
+		{"fig7", "nat error probabilities (control/data/both planes)",
+			[]group{formatFlags, studyFlags, appFlag("nat")}, errorFigure("Figure 7")},
+		{"fig8", "fatal error probabilities per application", grid, study(experiment.Fig8, experiment.Fig8Render)},
+		{"fig9", "EDF^2 panels: route, crc", grid, edfFigure("9", "route", "crc")},
+		{"fig10", "EDF^2 panels: md5, tl", grid, edfFigure("10", "md5", "tl")},
+		{"fig11", "EDF^2 panels: drr, nat", grid, edfFigure("11", "drr", "nat")},
+		{"fig12", "EDF^2 panels: url, average of all applications", grid, edfFigure("12", "url", "average")},
+		{"all", "everything above in paper order, closed by the verify table", []group{studyFlags}, allExperiments},
+		{"verify", "check the paper's headline claims programmatically (exit 1 on failure)", grid, verify},
+		{"run", "one simulation and its full report", sim, runCmd},
+		{"stats", "one simulation like run, then dump the telemetry counter registry",
+			[]group{appFlag("route"), runFlags, workloadFlags, formatFlags, describeFlag}, stats},
+		{"trace", "dump an application's generated workload", []group{appFlag("route"), traceFlags}, traceCmd},
+		{"fleet", "fleet-scale serving on the virtual-time cluster simulator: the degradation study, or one fleet simulation with -faulty N",
+			[]group{formatFlags, studyFlags, appFlag("route"), fleetFlags, workloadFlags}, fleetCmd},
+		{"list", "this text", nil, func(_ *cliOpts, w io.Writer) error { usage(w); return nil }},
+		{"ecc", "extension: SEC-DED error correction vs parity vs no detection", perApp, appStudy(experiment.ExtDetection, experiment.ExtDetectionRender)},
+		{"subblock", "extension: sub-block (per-word) recovery vs full-line invalidation", perApp, appStudy(experiment.ExtSubBlock, experiment.ExtSubBlockRender)},
+		{"exponents", "extension: sensitivity of the winner to the EDF metric weights", perApp, appStudy(experiment.ExtExponents, experiment.ExtExponentsRender)},
+		{"dvs", "extension: conventional voltage scaling vs clumsy over-clocking", perApp, appStudy(experiment.ExtDVS, experiment.ExtDVSRender)},
+		{"geometry", "extension: L1 data cache size ablation", perApp, appStudy(experiment.ExtGeometry, experiment.ExtGeometryRender)},
+		{"tuning", "extension: dynamic-controller threshold study (the paper's X1/X2 choice)", perApp, appStudy(experiment.ExtTuning, experiment.ExtTuningRender)},
+		{"media", "extension: the claim beyond networking, an EDF grid for an IMA ADPCM codec", grid, media},
+		{"extensions", "all seven extension studies", perApp, extensions},
+		{"reliability", "fault regime x recovery policy sweep over every application, plus the graceful-degradation curve for -app", perApp, reliability},
+		{"state", "state-integrity study for the stateful apps (fw, flowtrack): regime x scrub interval x workload shape", grid, state},
 	}
 }
 
-// run parses flags, stands up the observability stack (telemetry hub,
-// trace sink, grid monitor, pprof profiles), and dispatches the command.
+// lookup finds a command by name.
+func lookup(name string) (command, bool) {
+	for _, c := range commands() {
+		if c.name == name {
+			return c, true
+		}
+	}
+	return command{}, false
+}
+
+// flagSet builds the command's flags, bound into o.
+func (c command) flagSet(o *cliOpts) *flag.FlagSet {
+	fs := flag.NewFlagSet(c.name, flag.ContinueOnError)
+	fs.Usage = func() {
+		fmt.Fprintf(fs.Output(), "usage: clumsy %s [flags]\n\n%s\n\nflags:\n", c.name, c.help)
+		fs.PrintDefaults()
+	}
+	obsFlags(fs, o)
+	for _, g := range c.groups {
+		g(fs, o)
+	}
+	return fs
+}
+
+// obsFlags: output and observability, read by every command.
+func obsFlags(fs *flag.FlagSet, o *cliOpts) {
+	fs.StringVar(&o.out, "out", "", "write the command's output atomically to this `file` instead of stdout; a failed or interrupted command leaves no partial file (trace: the binary trace file)")
+	fs.StringVar(&o.traceOut, "trace-out", "", "write a JSONL event trace of every simulated run to this `file` (fault injections, recoveries, DVS transitions, packet drops, run lifecycle; cycle timestamps)")
+	fs.StringVar(&o.cpuprofile, "cpuprofile", "", "write a pprof CPU profile of the whole command to this `file`")
+	fs.StringVar(&o.memprofile, "memprofile", "", "write a pprof heap profile to this `file` at exit")
+	fs.BoolVar(&o.progress, "progress", false, "report live experiment-grid progress on stderr")
+}
+
+func formatFlags(fs *flag.FlagSet, o *cliOpts) {
+	fs.StringVar(&o.format, "format", "text", "output format: text or csv (stats: text = Prometheus exposition, or json; fleet -faulty: text or json)")
+}
+
+func describeFlag(fs *flag.FlagSet, o *cliOpts) {
+	fs.BoolVar(&o.describe, "describe", false, "print the registered telemetry instrument and event names instead of running a simulation")
+}
+
+// appFlag: the application a command studies or runs, defaulting to def
+// (fig7 studies nat, every other command route).
+func appFlag(def string) group {
+	return func(fs *flag.FlagSet, o *cliOpts) {
+		fs.StringVar(&o.app, "app", def, "`application`: "+strings.Join(append(apps.Names(), apps.Extras()...), ", "))
+	}
+}
+
+// Help shared by the study and single-run bindings of the same flag.
+const (
+	recoveryHelp = "fatal-error `policy`: abort reproduces the paper's measurement semantics (a fatal error ends the run); " +
+		"drop contains fatal errors at packet granularity (the packet is dropped, simulated memory rolls back to the last packet boundary, and the run continues); " +
+		"degrade adds the escalating recovery ladder on top of drop (k-strike retry, then per-line disable after repeated strikes, then strike-informed frequency back-off)"
+	maxDropRateHelp = "under -recovery drop, fail the run once the dropped fraction of attempted packets exceeds this (0 = never)"
+)
+
+// studyFlags: experiment scale and the resilient-campaign controls.
+func studyFlags(fs *flag.FlagSet, o *cliOpts) {
+	fs.IntVar(&o.opt.Packets, "packets", 0, "packets per run (0 = default 2000)")
+	fs.IntVar(&o.opt.Trials, "trials", 0, "independent seeds averaged per configuration (0 = default 3)")
+	fs.Float64Var(&o.opt.FaultScale, "scale", 0, "fault-rate multiplier, 1 = the paper's physical rate (0 = default 1)")
+	fs.Uint64Var(&o.opt.Seed, "seed", 0, "experiment seed (0 = default 1)")
+	fs.Var(enumFlag[clumsy.RecoveryPolicy]{&o.opt.Recovery, clumsy.ParseRecoveryPolicy}, "recovery", recoveryHelp)
+	fs.Float64Var(&o.opt.MaxDropRate, "max-drop-rate", 0, maxDropRateHelp)
+	fs.StringVar(&o.journal, "journal", "", "record every completed grid cell to this JSONL journal `file` (atomic rewrite per cell, so a kill at any point leaves a complete prefix); "+
+		"the first SIGINT/SIGTERM drains in-flight cells and flushes it, a second force-quits")
+	fs.BoolVar(&o.resume, "resume", false, "with -journal, skip the cells already recorded; the output is byte-identical to an uninterrupted run")
+	fs.DurationVar(&o.opt.RunTimeout, "run-timeout", 0, "per-grid-cell wall-clock deadline, e.g. 90s: a wedged cell fails with a diagnostic naming it instead of hanging the grid (0 = none)")
+}
+
+// runFlags: one simulation (run, stats).
+func runFlags(fs *flag.FlagSet, o *cliOpts) {
+	c := &o.cfg
+	fs.IntVar(&c.Packets, "packets", 1000, "packets in the run")
+	fs.Uint64Var(&c.Seed, "seed", 1, "trace and fault seed")
+	fs.Float64Var(&c.FaultScale, "scale", 1, "fault-rate multiplier (1 = the paper's physical rate)")
+	fs.Float64Var(&c.CycleTime, "cr", 1, "relative cycle time (1 = nominal clock)")
+	fs.BoolVar(&c.Dynamic, "dynamic", false, "use the dynamic frequency controller")
+	fs.BoolFunc("parity", "enable parity detection in the L1 data cache", func(s string) error {
+		on, err := strconv.ParseBool(s)
+		c.Detection = cache.DetectionNone
+		if on {
+			c.Detection = cache.DetectionParity
+		}
+		return err
+	})
+	fs.IntVar(&c.Strikes, "strikes", 1, "recovery strikes under -parity")
+	fs.Var(enumFlag[clumsy.FaultRegime]{&c.Regime, clumsy.ParseFaultRegime}, "regime",
+		"fault `regime`: paper (the memoryless process), burst (Gilbert-Elliott voltage-droop episodes), or permanent (a per-line stuck-at cell map over the paper process)")
+	fs.Var(enumFlag[clumsy.RecoveryPolicy]{&c.Recovery, clumsy.ParseRecoveryPolicy}, "recovery", recoveryHelp)
+	fs.Float64Var(&c.MaxDropRate, "max-drop-rate", 0, maxDropRateHelp)
+	fs.Float64Var(&c.WatchdogFactor, "watchdog", 0, "per-packet instruction budget as a multiple of the golden run's worst packet (0 = default 500); budgets below 1 make heavy packets trip the watchdog")
+	fs.IntVar(&c.ScrubInterval, "scrub", 0, "stateful apps: flow-table scrub interval in packets (0 = default 64, negative = disabled); a scrub pass verifies every record's checksum and runs the recovery ladder on latent corruption")
+	fs.IntVar(&c.StateStrikes, "state-strikes", 0, "stateful apps: per-record corruption budget; strike 1 evicts the record, later strikes rebuild it from the golden shadow, and an exhausted budget ends the run with an unrecoverable-state error (0 = default 4)")
+	fs.StringVar(&o.replay, "trace", "", "replay this binary trace `file` (written by trace -out) instead of generating one")
+}
+
+// traceFlags: the generated workload of the trace command.
+func traceFlags(fs *flag.FlagSet, o *cliOpts) {
+	fs.IntVar(&o.cfg.Packets, "packets", 20, "packets to generate")
+	fs.Uint64Var(&o.cfg.Seed, "seed", 1, "trace seed")
+}
+
+// workloadFlags: the workload-v2 stream (run, stats, fleet -faulty).
+func workloadFlags(fs *flag.FlagSet, o *cliOpts) {
+	fs.Var(enumFlag[workload.Shape]{&o.wl.Shape, workload.ParseShape}, "shape",
+		"temporal `shape`: steady, diurnal, flash, or onoff; fleet runs modulate arrival gaps by the shape, batch runs keep the trace order but scale the adversarial and churn pressure with the local intensity")
+	fs.Var(enumFlag[workload.Shape]{&o.wl.Shape2, workload.ParseShape}, "shape2",
+		"second `shape` multiplied onto -shape (e.g. on/off bursts riding a diurnal swing), renormalized so the mean rate stays 1")
+	fs.IntVar(&o.wl.Periods2, "periods2", 0, "cycle count of the -shape2 profile (0 = that shape's default)")
+	fs.Float64Var(&o.wl.Adversarial, "adversarial", 0, "fraction of packets replaced by malformed wire images (truncated headers, fuzzed header fields)")
+	fs.Float64Var(&o.wl.Churn, "churn", 0, "fraction of packets rewritten into fresh one-packet flows (a flow-churn flood against stateful tables)")
+}
+
+// fleetFlags: one fleet simulation of N nodes behind a dispatcher, with
+// node health tracking, drain-and-re-clock, failover and SLO-guarded
+// load shedding.
+func fleetFlags(fs *flag.FlagSet, o *cliOpts) {
+	f := &o.fleet
+	fs.IntVar(&f.FaultyNodes, "faulty", -1, "run one fleet simulation with this many hostile nodes and report its SLO attainment (-1 = run the journaled degradation study, a faulty-node fraction sweep)")
+	fs.IntVar(&f.Nodes, "nodes", 0, "node count of one fleet simulation (0 = 8)")
+	fs.Var(enumFlag[cluster.DispatchPolicy]{&f.Dispatch, cluster.ParseDispatchPolicy}, "dispatch", "dispatch `policy` of one fleet simulation: flow or least")
+	fs.Float64Var(&f.CycleTime, "cr", 0, "static operating point of every node of one fleet simulation (0 = 0.5)")
+	fs.BoolVar(&f.Dynamic, "dynamic", false, "clock every node of one fleet simulation with the dynamic frequency controller")
+}
+
+// enumFlag binds a flag to an enumerated field through its parser, so -h
+// shows the default by name.
+type enumFlag[T fmt.Stringer] struct {
+	p     *T
+	parse func(string) (T, error)
+}
+
+func (f enumFlag[T]) String() string {
+	if f.p == nil { // the zero Value flag.PrintDefaults compares against
+		return ""
+	}
+	return (*f.p).String()
+}
+
+func (f enumFlag[T]) Set(s string) error {
+	v, err := f.parse(s)
+	if err != nil {
+		return err
+	}
+	*f.p = v
+	return nil
+}
+
+// run parses the command's flags, stands up the observability stack
+// (telemetry hub, trace sink, grid monitor, pprof profiles), and runs the
+// command.
 func run(args []string, w io.Writer) (err error) {
 	if len(args) == 0 {
 		usage(w)
-		return fmt.Errorf("missing experiment name")
+		return fmt.Errorf("missing command name")
 	}
-	cmd, rest := args[0], args[1:]
-
-	fs := flag.NewFlagSet(cmd, flag.ContinueOnError)
-	packets := fs.Int("packets", 0, "packets per run (0 = default)")
-	trials := fs.Int("trials", 0, "trials per configuration (0 = default)")
-	scale := fs.Float64("scale", 0, "fault-rate multiplier (0 = default 1)")
-	seed := fs.Uint64("seed", 0, "experiment seed (0 = default)")
-	appName := fs.String("app", "route", "application for run/fig6-style experiments")
-	cr := fs.Float64("cr", 1, "relative cycle time for run")
-	dynamic := fs.Bool("dynamic", false, "use the dynamic frequency controller for run")
-	parity := fs.Bool("parity", false, "enable parity detection for run")
-	strikes := fs.Int("strikes", 1, "recovery strikes under parity for run")
-	recovery := fs.String("recovery", "abort", "fatal-error policy: abort (paper semantics), drop (contain and continue), or degrade (drop + the escalating recovery ladder)")
-	regime := fs.String("regime", "paper", "fault regime: paper (memoryless), burst (Gilbert-Elliott droop episodes), or permanent (stuck-at cell map)")
-	maxDropRate := fs.Float64("max-drop-rate", 0, "under -recovery drop, abort once this drop fraction is exceeded (0 = unlimited)")
-	watchdog := fs.Float64("watchdog", 0, "per-packet instruction budget as a multiple of the golden worst packet (0 = default 500)")
-	format := fs.String("format", "text", "output format: text or csv (stats: text=Prometheus or json)")
-	out := fs.String("out", "", "write command output to this file atomically instead of stdout")
-	journalPath := fs.String("journal", "", "record completed campaign cells to this JSONL journal")
-	resume := fs.Bool("resume", false, "with -journal, skip cells already recorded in the journal")
-	runTimeout := fs.Duration("run-timeout", 0, "per-grid-cell wall-clock deadline, e.g. 90s (0 = none)")
-	retries := fs.Int("retries", 0, "retries per cell for transient host failures (simulated outcomes never retry)")
-	retryBackoff := fs.Duration("retry-backoff", 0, "base retry delay, doubled per attempt (0 = default 100ms)")
-	tracePath := fs.String("trace", "", "replay a binary trace file instead of generating (run command)")
-	traceOut := fs.String("trace-out", "", "write a JSONL event trace of every simulated run to this file")
-	cpuprofile := fs.String("cpuprofile", "", "write a pprof CPU profile to this file")
-	memprofile := fs.String("memprofile", "", "write a pprof heap profile to this file")
-	progress := fs.Bool("progress", false, "report experiment-grid progress on stderr")
-	describe := fs.Bool("describe", false, "stats: print the telemetry name registry instead of running a simulation")
-	nodes := fs.Int("nodes", 0, "fleet: node count (0 = 8)")
-	faulty := fs.Int("faulty", -1, "fleet: hostile node count for one fleet simulation (-1 = run the degradation study instead)")
-	dispatchPolicy := fs.String("dispatch", "", "fleet: dispatch policy, flow (default) or least")
-	shape := fs.String("shape", "", "workload-v2 temporal shape: steady, diurnal, flash, or onoff (empty = canonical trace)")
-	shape2 := fs.String("shape2", "", "workload-v2 stacked shape multiplied onto -shape, mean rate renormalized to 1 (empty = no stacking)")
-	periods2 := fs.Int("periods2", 0, "cycle count of the -shape2 profile (0 = that shape's default)")
-	adversarial := fs.Float64("adversarial", 0, "workload-v2 malformed-packet fraction (truncated/fuzzed wire images)")
-	churn := fs.Float64("churn", 0, "workload-v2 flow-churn fraction (each churned packet gets a fresh flow identity)")
-	scrub := fs.Int("scrub", 0, "flow-table scrub interval in packets for stateful apps (0 = default, negative = disabled)")
-	stateStrikes := fs.Int("state-strikes", 0, "per-record corruption strike budget before the run is declared unrecoverable (0 = default)")
-	if err := fs.Parse(rest); err != nil {
+	c, ok := lookup(args[0])
+	if !ok {
+		usage(w)
+		return fmt.Errorf("unknown command %q", args[0])
+	}
+	o := new(cliOpts)
+	fs := c.flagSet(o)
+	if err := fs.Parse(args[1:]); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
 		return err
 	}
-	policy, err := clumsy.ParseRecoveryPolicy(*recovery)
-	if err != nil {
-		return err
+	if fs.NArg() > 0 {
+		return fmt.Errorf("%s: unexpected argument %q", c.name, fs.Arg(0))
 	}
-	faultRegime, err := clumsy.ParseFaultRegime(*regime)
-	if err != nil {
-		return err
+	if o.resume && o.journal == "" {
+		return fmt.Errorf("-resume requires -journal")
 	}
 
 	// Campaign context: the first SIGINT/SIGTERM cancels it, letting the
@@ -186,6 +340,7 @@ func run(args []string, w io.Writer) (err error) {
 	// partial progress. A second signal force-quits.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
+	o.opt.Ctx = ctx
 	sig := make(chan os.Signal, 2)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	defer func() {
@@ -204,70 +359,17 @@ func run(args []string, w io.Writer) (err error) {
 		}
 	}()
 
-	o := cliOpts{
-		opt: experiment.Options{
-			Packets: *packets, Trials: *trials, FaultScale: *scale, Seed: *seed,
-			Recovery: policy, MaxDropRate: *maxDropRate,
-			Ctx: ctx, RunTimeout: *runTimeout, Retries: *retries, RetryBackoff: *retryBackoff,
-		},
-		app:         *appName,
-		packets:     *packets,
-		seed:        *seed,
-		scale:       *scale,
-		cr:          *cr,
-		dynamic:     *dynamic,
-		parity:      *parity,
-		strikes:     *strikes,
-		regime:      faultRegime,
-		recovery:    policy,
-		maxDropRate: *maxDropRate,
-		watchdog:    *watchdog,
-		format:      *format,
-		describe:    *describe,
-		out:         *out,
-		tracePath:   *tracePath,
-		progress:    *progress,
-		nodes:       *nodes,
-		faulty:      *faulty,
-		dispatch:    *dispatchPolicy,
-		scrub:       *scrub,
-		stateStr:    *stateStrikes,
-	}
-	if *shape != "" || *shape2 != "" || *adversarial > 0 || *churn > 0 {
-		sh := workload.ShapeSteady
-		if *shape != "" {
-			var perr error
-			if sh, perr = workload.ParseShape(*shape); perr != nil {
-				return perr
-			}
-		}
-		sh2 := workload.ShapeSteady
-		if *shape2 != "" {
-			var perr error
-			if sh2, perr = workload.ParseShape(*shape2); perr != nil {
-				return perr
-			}
-		}
-		o.wl = &workload.Spec{Shape: sh, Shape2: sh2, Periods2: *periods2,
-			Adversarial: *adversarial, Churn: *churn}
-	}
-	fs.Visit(func(f *flag.Flag) {
-		if f.Name == "cr" {
-			o.crSet = true
-		}
-	})
-
 	// Observability stack. The hub is installed as the process default so
 	// that every clumsy.Run — including the ones buried inside experiment
 	// grids — is counted and traced without plumbing changes.
 	o.tel = telemetry.New()
 	clumsy.SetDefaultTelemetry(o.tel)
 	defer clumsy.SetDefaultTelemetry(nil)
-	if *traceOut != "" {
+	if o.traceOut != "" {
 		// Atomic: the trace file appears under its final name only once the
 		// sink is flushed and closed, so a killed command never leaves a
 		// truncated JSONL behind.
-		f, err := atomicio.Create(*traceOut)
+		f, err := atomicio.Create(o.traceOut)
 		if err != nil {
 			return err
 		}
@@ -275,26 +377,24 @@ func run(args []string, w io.Writer) (err error) {
 		o.tel.SetSink(sink)
 		defer sink.Close()
 	}
-	if *journalPath != "" {
-		j, loaded, jerr := experiment.OpenJournal(*journalPath, *resume)
+	if o.journal != "" {
+		j, loaded, jerr := experiment.OpenJournal(o.journal, o.resume)
 		if jerr != nil {
 			return jerr
 		}
 		o.opt.Journal = j
-		if *resume {
-			fmt.Fprintf(os.Stderr, "clumsy: resuming campaign from %s (%d cells recorded)\n", *journalPath, loaded)
-			o.tel.StartRun(nil).CampaignResume(*journalPath, loaded)
+		if o.resume {
+			fmt.Fprintf(os.Stderr, "clumsy: resuming campaign from %s (%d cells recorded)\n", o.journal, loaded)
+			o.tel.StartRun(nil).CampaignResume(o.journal, loaded)
 		}
-	} else if *resume {
-		return fmt.Errorf("-resume requires -journal")
 	}
-	if *progress {
+	if o.progress {
 		mon := &telemetry.RunMonitor{Registry: o.tel.Registry, OnProgress: printProgress}
 		experiment.SetMonitor(mon)
 		defer experiment.SetMonitor(nil)
 	}
-	if *cpuprofile != "" {
-		f, err := atomicio.Create(*cpuprofile)
+	if o.cpuprofile != "" {
+		f, err := atomicio.Create(o.cpuprofile)
 		if err != nil {
 			return err
 		}
@@ -309,10 +409,10 @@ func run(args []string, w io.Writer) (err error) {
 			}
 		}()
 	}
-	if *memprofile != "" {
-		defer writeHeapProfile(*memprofile)
+	if o.memprofile != "" {
+		defer writeHeapProfile(o.memprofile)
 	}
-	err = dispatch(cmd, o, w)
+	err = dispatch(c, o, w)
 	if errors.Is(err, context.Canceled) {
 		// Interrupted: report how much of the campaign survives, and how to
 		// pick it back up.
@@ -330,13 +430,13 @@ func run(args []string, w io.Writer) (err error) {
 // written atomically to the file (a cancelled or failed command leaves no
 // partial file), otherwise it streams to w. The trace command manages its
 // own -out semantics (binary trace payload).
-func dispatch(cmd string, o cliOpts, w io.Writer) error {
-	if o.out != "" && cmd != "trace" {
+func dispatch(c command, o *cliOpts, w io.Writer) error {
+	if o.out != "" && c.name != "trace" {
 		return atomicio.WriteFile(o.out, func(f io.Writer) error {
-			return execute(cmd, o, f)
+			return c.run(o, f)
 		})
 	}
-	return execute(cmd, o, w)
+	return c.run(o, w)
 }
 
 // printProgress renders one grid-progress line on stderr (carriage-return
@@ -366,82 +466,80 @@ func writeHeapProfile(path string) {
 	}
 }
 
-// execute dispatches one (sub)command with already-parsed options.
-func execute(cmd string, o cliOpts, w io.Writer) error {
-	emitTable := func(t *experiment.Table) error {
-		if o.format == "csv" {
-			return t.RenderCSV(w)
-		}
-		t.Render(w)
-		return nil
-	}
-	emitFigure := func(f *experiment.Figure) error {
-		if o.format == "csv" {
-			return f.RenderCSV(w)
-		}
-		f.Render(w)
-		return nil
-	}
-	opt := o.opt
+// renderer is a table or figure.
+type renderer interface {
+	Render(w io.Writer)
+	RenderCSV(w io.Writer) error
+}
 
-	switch cmd {
-	case "list":
-		usage(w)
-		return nil
-	case "fig1b":
-		return emitFigure(experiment.Fig1b())
-	case "fig2b":
-		return emitFigure(experiment.Fig2b())
-	case "fig3":
-		return emitFigure(experiment.Fig3())
-	case "fig4":
-		return emitFigure(experiment.Fig4())
-	case "fig5":
-		return emitFigure(experiment.Fig5())
-	case "table1":
-		rows, err := experiment.Table1(opt)
+// emit renders one table or figure in the -format.
+func (o *cliOpts) emit(w io.Writer, r renderer) error {
+	if o.format == "csv" {
+		return r.RenderCSV(w)
+	}
+	r.Render(w)
+	return nil
+}
+
+// emitEach renders tables, each followed by a blank line.
+func (o *cliOpts) emitEach(w io.Writer, tables []*experiment.Table) error {
+	for _, t := range tables {
+		if err := o.emit(w, t); err != nil {
+			return err
+		}
+		fmt.Fprintln(w)
+	}
+	return nil
+}
+
+// figureCmd renders one circuit-model figure.
+func figureCmd(fig func() *experiment.Figure) func(*cliOpts, io.Writer) error {
+	return func(o *cliOpts, w io.Writer) error { return o.emit(w, fig()) }
+}
+
+// study runs a whole-evaluation study and renders its table.
+func study[T any](compute func(experiment.Options) (T, error), render func(T, experiment.Options) *experiment.Table) func(*cliOpts, io.Writer) error {
+	return func(o *cliOpts, w io.Writer) error {
+		v, err := compute(o.opt)
 		if err != nil {
 			return err
 		}
-		return emitTable(experiment.Table1Render(rows, opt))
-	case "fig6", "fig7":
-		// Figure 6 studies route, Figure 7 studies nat; -app overrides.
-		app := o.app
-		if app == "route" && cmd == "fig7" {
-			app = "nat"
-		}
-		sweeps, err := experiment.ErrorBehaviour(app, opt)
+		return o.emit(w, render(v, o.opt))
+	}
+}
+
+// appStudy runs a study of the -app workload and renders its table.
+func appStudy[T any](compute func(string, experiment.Options) (T, error), render func(string, T, experiment.Options) *experiment.Table) func(*cliOpts, io.Writer) error {
+	return func(o *cliOpts, w io.Writer) error {
+		v, err := compute(o.app, o.opt)
 		if err != nil {
 			return err
 		}
-		label := map[string]string{"fig6": "Figure 6", "fig7": "Figure 7"}[cmd]
-		for _, t := range experiment.ErrorBehaviourRender(sweeps, label, opt) {
-			if err := emitTable(t); err != nil {
-				return err
-			}
-			fmt.Fprintln(w)
-		}
-	case "fig8":
-		rows, err := experiment.Fig8(opt)
+		return o.emit(w, render(o.app, v, o.opt))
+	}
+}
+
+// errorFigure renders the per-plane error sweep of the -app workload.
+func errorFigure(label string) func(*cliOpts, io.Writer) error {
+	return func(o *cliOpts, w io.Writer) error {
+		sweeps, err := experiment.ErrorBehaviour(o.app, o.opt)
 		if err != nil {
 			return err
 		}
-		return emitTable(experiment.Fig8Render(rows, opt))
-	case "fig9", "fig10", "fig11", "fig12":
-		pairs := map[string][]string{
-			"fig9":  {"route", "crc"},
-			"fig10": {"md5", "tl"},
-			"fig11": {"drr", "nat"},
-			"fig12": {"url", "average"},
-		}[cmd]
-		for i, app := range pairs {
-			panel := fmt.Sprintf("Figure %s(%c)", cmd[3:], 'a'+i)
+		return o.emitEach(w, experiment.ErrorBehaviourRender(sweeps, label, o.opt))
+	}
+}
+
+// edfFigure renders one EDF^2 figure, a panel per app; "average" is the
+// mean over the paper's applications.
+func edfFigure(fig string, panels ...string) func(*cliOpts, io.Writer) error {
+	return func(o *cliOpts, w io.Writer) error {
+		for i, app := range panels {
 			var r *experiment.EDFResult
-			var err error
 			if app == "average" {
 				var all []*experiment.EDFResult
 				for _, name := range apps.Names() {
-					g, err := experiment.EDFGrid(name, opt)
+					g, err := experiment.EDFGrid(name, o.opt)
 					if err != nil {
 						return err
 					}
@@ -449,166 +547,126 @@ func execute(cmd string, o cliOpts, w io.Writer) error {
 				}
 				r = experiment.EDFAverage(all)
 			} else {
-				r, err = experiment.EDFGrid(app, opt)
-				if err != nil {
+				var err error
+				if r, err = experiment.EDFGrid(app, o.opt); err != nil {
 					return err
 				}
 			}
-			if err := emitTable(experiment.EDFRender(r, panel, opt)); err != nil {
+			panel := fmt.Sprintf("Figure %s(%c)", fig, 'a'+i)
+			if err := o.emit(w, experiment.EDFRender(r, panel, o.opt)); err != nil {
 				return err
 			}
 			fmt.Fprintln(w)
 		}
-	case "ecc":
-		cells, err := experiment.ExtDetection(o.app, opt)
-		if err != nil {
+		return nil
+	}
+}
+
+// media runs the EDF grid of the IMA ADPCM extension workload: the paper
+// notes its ideas apply "to any type of processor that executes
+// applications with fault resiliency (e.g., media processors)".
+func media(o *cliOpts, w io.Writer) error {
+	r, err := experiment.EDFGrid("adpcm", o.opt)
+	if err != nil {
+		return err
+	}
+	return o.emit(w, experiment.EDFRender(r, "Extension: media processor (adpcm)", o.opt))
+}
+
+func extensions(o *cliOpts, w io.Writer) error {
+	for _, name := range []string{"ecc", "subblock", "exponents", "dvs", "geometry", "tuning", "media"} {
+		c, _ := lookup(name)
+		if err := c.run(o, w); err != nil {
 			return err
 		}
-		return emitTable(experiment.ExtDetectionRender(o.app, cells, opt))
-	case "subblock":
-		cells, err := experiment.ExtSubBlock(o.app, opt)
-		if err != nil {
-			return err
-		}
-		return emitTable(experiment.ExtSubBlockRender(o.app, cells, opt))
-	case "exponents":
-		rows, err := experiment.ExtExponents(o.app, opt)
-		if err != nil {
-			return err
-		}
-		return emitTable(experiment.ExtExponentsRender(o.app, rows, opt))
-	case "dvs":
-		rows, err := experiment.ExtDVS(o.app, opt)
-		if err != nil {
-			return err
-		}
-		return emitTable(experiment.ExtDVSRender(o.app, rows, opt))
-	case "geometry":
-		cells, err := experiment.ExtGeometry(o.app, opt)
-		if err != nil {
-			return err
-		}
-		return emitTable(experiment.ExtGeometryRender(o.app, cells, opt))
-	case "media":
-		// The paper notes its ideas apply "to any type of processor that
-		// executes applications with fault resiliency (e.g., media
-		// processors)"; this grid runs the IMA ADPCM extension workload.
-		r, err := experiment.EDFGrid("adpcm", opt)
-		if err != nil {
-			return err
-		}
-		return emitTable(experiment.EDFRender(r, "Extension: media processor (adpcm)", opt))
-	case "tuning":
-		cells, err := experiment.ExtTuning(o.app, opt)
-		if err != nil {
-			return err
-		}
-		return emitTable(experiment.ExtTuningRender(o.app, cells, opt))
-	case "extensions":
-		for _, sub := range []string{"ecc", "subblock", "exponents", "dvs", "geometry", "tuning", "media"} {
-			if err := execute(sub, o, w); err != nil {
-				return err
-			}
-			fmt.Fprintln(w)
-		}
-	case "reliability":
-		cells, err := experiment.Reliability(opt)
-		if err != nil {
-			return err
-		}
-		for _, t := range experiment.ReliabilityRender(cells, opt) {
-			if err := emitTable(t); err != nil {
-				return err
-			}
-			fmt.Fprintln(w)
-		}
-		points, err := experiment.ReliabilityCurve(o.app, opt)
-		if err != nil {
-			return err
-		}
-		return emitTable(experiment.ReliabilityCurveRender(o.app, points, opt))
-	case "fleet":
-		pol, err := cluster.ParseDispatchPolicy(o.dispatch)
-		if err != nil {
-			return err
-		}
-		if o.faulty >= 0 {
-			// One fleet simulation: N nodes, the given hostile count, full
-			// health lifecycle, SLO report (text, or -format json).
-			r, err := cluster.Run(o.fleetConfig(pol))
-			if err != nil {
-				return err
-			}
-			if o.format == "json" {
-				return r.WriteJSON(w)
-			}
-			return r.WriteText(w)
-		}
-		// The fleet degradation study: journaled, resumable, rendered like
-		// every other campaign table.
-		cells, err := experiment.Fleet(o.app, opt)
-		if err != nil {
-			return err
-		}
-		return emitTable(experiment.FleetRender(o.app, cells, opt))
-	case "state":
-		// The state-integrity study: flow-table corruption detection and
-		// recovery for the stateful apps, journaled and resumable like
-		// every other campaign.
-		for i, app := range experiment.StateApps() {
-			cells, err := experiment.StateIntegrity(app, opt)
-			if err != nil {
-				return err
-			}
-			if err := emitTable(experiment.StateIntegrityRender(app, cells, opt)); err != nil {
-				return err
-			}
-			if i < len(experiment.StateApps())-1 {
-				fmt.Fprintln(w)
-			}
-		}
-	case "trace":
-		return dumpTrace(w, o.app, max(o.packets, 20), max64(o.seed, 1), o.out)
-	case "verify":
-		claims, err := experiment.VerifyClaims(opt)
-		if err != nil {
-			return err
-		}
-		if err := emitTable(experiment.VerifyRender(claims, opt)); err != nil {
-			return err
-		}
-		for _, c := range claims {
-			if !c.Pass {
-				return fmt.Errorf("claim %q failed", c.Name)
-			}
-		}
-	case "all":
-		return allExperiments(opt, w)
-	case "run":
-		res, err := runOne(o.runConfig(), o.tracePath)
-		if err != nil {
-			return err
-		}
-		return report(w, res)
-	case "stats":
-		if o.describe {
-			return describeNames(w)
-		}
-		// Execute one run exactly like `run` (same defaults and seeding,
-		// so its counts match a trace captured by `run -trace-out` with
-		// the same flags), then dump the counter registry.
-		if _, err := runOne(o.runConfig(), o.tracePath); err != nil {
-			return err
-		}
-		if o.format == "json" {
-			return o.tel.Registry.WriteJSON(w)
-		}
-		return o.tel.Registry.WritePrometheus(w)
-	default:
-		usage(w)
-		return fmt.Errorf("unknown experiment %q", cmd)
+		fmt.Fprintln(w)
 	}
 	return nil
+}
+
+func reliability(o *cliOpts, w io.Writer) error {
+	cells, err := experiment.Reliability(o.opt)
+	if err != nil {
+		return err
+	}
+	if err := o.emitEach(w, experiment.ReliabilityRender(cells, o.opt)); err != nil {
+		return err
+	}
+	return appStudy(experiment.ReliabilityCurve, experiment.ReliabilityCurveRender)(o, w)
+}
+
+// fleetCmd runs one fleet simulation with -faulty N (text, or -format
+// json), otherwise the journaled fleet degradation study.
+func fleetCmd(o *cliOpts, w io.Writer) error {
+	if o.fleet.FaultyNodes < 0 {
+		return appStudy(experiment.Fleet, experiment.FleetRender)(o, w)
+	}
+	r, err := cluster.Run(o.fleetConfig())
+	if err != nil {
+		return err
+	}
+	if o.format == "json" {
+		return r.WriteJSON(w)
+	}
+	return r.WriteText(w)
+}
+
+// state runs the state-integrity study: flow-table corruption detection
+// and recovery for each stateful app.
+func state(o *cliOpts, w io.Writer) error {
+	for i, app := range experiment.StateApps() {
+		cells, err := experiment.StateIntegrity(app, o.opt)
+		if err != nil {
+			return err
+		}
+		if i > 0 {
+			fmt.Fprintln(w)
+		}
+		if err := o.emit(w, experiment.StateIntegrityRender(app, cells, o.opt)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func verify(o *cliOpts, w io.Writer) error {
+	claims, err := experiment.VerifyClaims(o.opt)
+	if err != nil {
+		return err
+	}
+	if err := o.emit(w, experiment.VerifyRender(claims, o.opt)); err != nil {
+		return err
+	}
+	for _, c := range claims {
+		if !c.Pass {
+			return fmt.Errorf("claim %q failed", c.Name)
+		}
+	}
+	return nil
+}
+
+func runCmd(o *cliOpts, w io.Writer) error {
+	res, err := runOne(o.runConfig(), o.replay)
+	if err != nil {
+		return err
+	}
+	return report(w, res)
+}
+
+// stats executes one run exactly like run (same defaults and seeding, so
+// its counts match a trace captured by `run -trace-out` with the same
+// flags), then dumps the counter registry.
+func stats(o *cliOpts, w io.Writer) error {
+	if o.describe {
+		return describeNames(w)
+	}
+	if _, err := runOne(o.runConfig(), o.replay); err != nil {
+		return err
+	}
+	if o.format == "json" {
+		return o.tel.Registry.WriteJSON(w)
+	}
+	return o.tel.Registry.WritePrometheus(w)
 }
 
 // describeNames prints the telemetry name registry — the same table the
@@ -631,32 +689,8 @@ func describeNames(w io.Writer) error {
 	return tw.Flush()
 }
 
-func detectionOf(parity bool) cache.Detection {
-	if parity {
-		return cache.DetectionParity
-	}
-	return cache.DetectionNone
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func max64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
+func traceCmd(o *cliOpts, w io.Writer) error {
+	return dumpTrace(w, o.app, o.cfg.Packets, o.cfg.Seed, o.out)
 }
 
 // dumpTrace generates an application's workload and either writes it as a
@@ -787,7 +821,8 @@ func report(w io.Writer, res *clumsy.Result) error {
 	return nil
 }
 
-func allExperiments(opt experiment.Options, w io.Writer) error {
+func allExperiments(o *cliOpts, w io.Writer) error {
+	opt := o.opt
 	for _, f := range []*experiment.Figure{
 		experiment.Fig1b(), experiment.Fig2b(), experiment.Fig3(),
 		experiment.Fig4(), experiment.Fig5(),
@@ -845,128 +880,11 @@ func allExperiments(opt experiment.Options, w io.Writer) error {
 	return nil
 }
 
+// usage lists the commands from the table.
 func usage(w io.Writer) {
-	fmt.Fprint(w, `usage: clumsy <experiment> [flags]
-
-experiments:
-  fig1b   voltage swing vs cycle time (circuit model)
-  fig2b   SRAM noise-immunity curves
-  fig3    switching-combination noise distribution
-  fig4    fault probability vs voltage swing
-  fig5    fault probability vs cycle time + fitted formula (Eq. 4)
-  table1  application properties and fallibility factors
-  fig6    route error probabilities (control/data/both planes)
-  fig7    nat error probabilities (control/data/both planes)
-  fig8    fatal error probabilities per application
-  fig9    EDF^2 panels: route, crc
-  fig10   EDF^2 panels: md5, tl
-  fig11   EDF^2 panels: drr, nat
-  fig12   EDF^2 panels: url, average of all applications
-  all     everything above in paper order
-  verify  check the paper's headline claims programmatically (exit 1 on failure)
-  run     one simulation (-app -cr -dynamic -parity -strikes -scale
-          -regime paper|burst|permanent -recovery abort|drop|degrade
-          -max-drop-rate X -watchdog X [-trace f])
-  stats   one simulation like run, then dump the telemetry counter registry
-          (-format text = Prometheus exposition, -format json = JSON;
-          -describe prints the registered instrument/event name table)
-  trace   dump an application's workload (-app -packets -seed [-out file])
-  fleet   fleet-scale serving on the virtual-time cluster simulator:
-          N clumsy nodes behind a dispatcher with node health tracking,
-          drain-and-re-clock, failover, and SLO-guarded load shedding.
-          Plain "fleet" runs the journaled degradation study (faulty-node
-          fraction sweep, -app -packets -trials); "fleet -faulty N" runs one
-          fleet simulation (-nodes N -dispatch flow|least -packets -seed
-          -scale -cr -dynamic, -format json for the machine-readable report)
-  list    this text
-
-extensions (beyond the paper's evaluation; -app selects the workload):
-  ecc        SEC-DED error correction vs parity vs no detection
-  subblock   sub-block (per-word) recovery vs full-line invalidation
-  exponents  sensitivity of the winner to the EDF metric weights
-  dvs        conventional voltage scaling vs clumsy over-clocking
-  geometry   L1 data cache size ablation
-  tuning     dynamic-controller threshold study (the paper's X1/X2 choice)
-  media      the claim beyond networking: EDF grid for an IMA ADPCM codec
-  extensions all seven extension studies
-  reliability  fault regime x recovery policy sweep over every application
-               (paper/burst/permanent x abort/drop/degrade) plus the
-               graceful-degradation curve: drop rate and IPC vs the
-               force-disabled L1D capacity fraction (-app selects the curve's
-               workload)
-  state        state-integrity study for the stateful apps (fw, flowtrack):
-               fault regime x scrub interval x workload shape, reporting
-               checksum detections, recovery-ladder actions, and end-of-run
-               flow-record divergence vs the golden shadow (-packets -trials
-               -scale; journaled/resumable with -journal/-resume)
-
-common flags: -packets N  -trials N  -scale X  -seed N  -format text|csv
-              -out f (write output atomically to f instead of stdout)
-
-resilient campaigns (any experiment command):
-  -journal f.jsonl     record every completed grid cell to a durable journal
-                       (atomic rewrite per cell; survives kill at any point)
-  -resume              with -journal, skip cells already recorded; the resumed
-                       campaign's output is byte-identical to an uninterrupted run
-  -run-timeout D       per-grid-cell wall-clock deadline (e.g. 90s); a wedged
-                       cell fails with a diagnostic instead of hanging the grid
-  -retries N           retry transient host failures per cell with exponential
-                       backoff; simulated outcomes (drop-rate exceeded, watchdog,
-                       traps) are deterministic and never retried
-  -retry-backoff D     base retry delay, doubled per attempt (default 100ms)
-  SIGINT/SIGTERM       first signal drains in-flight cells, flushes the journal,
-                       and reports partial progress; second force-quits
-
-fault containment (any simulation command):
-  -recovery abort|drop|degrade
-                         abort reproduces the paper's measurement semantics
-                         (a fatal error ends the run); drop contains fatal
-                         errors at packet granularity: the packet is dropped,
-                         simulated memory is rolled back to the last packet
-                         boundary, and the run continues; degrade adds the
-                         escalating recovery ladder on top of drop: k-strike
-                         retry, then per-line disable after repeated strikes,
-                         then strike-informed frequency back-off
-  -regime paper|burst|permanent
-                         fault regime: the paper's memoryless process, the
-                         Gilbert-Elliott burst model (voltage-droop episodes),
-                         or a per-line stuck-at cell map over the paper process
-  -max-drop-rate X       under drop, declare the run failed once the dropped
-                         fraction of attempted packets exceeds X (0 = never)
-  -watchdog X            per-packet instruction budget as a multiple of the
-                         golden run's worst packet (0 = default 500); tight
-                         budgets (< 1) make heavy packets trip the watchdog
-
-stateful apps (fw, flowtrack; run/stats/fleet commands):
-  -scrub N               flow-table scrub interval in packets (0 = default 64,
-                         negative = disabled); the scrub pass verifies every
-                         record's checksum and runs the recovery ladder on
-                         latent corruption
-  -state-strikes N       per-record corruption budget: strike 1 evicts the
-                         record, later strikes rebuild it from the golden
-                         shadow, exhausting the budget ends the run with an
-                         unrecoverable-state error (0 = default 4)
-
-workload v2 (run/stats/fleet commands):
-  -shape S               temporal shape: steady, diurnal, flash, or onoff;
-                         fleet runs modulate arrival gaps by the shape, batch
-                         runs keep the trace order but scale the adversarial
-                         and churn pressure with the local intensity
-  -shape2 S              stack a second shape multiplicatively on -shape
-                         (e.g. on/off bursts riding a diurnal swing); the
-                         product is renormalized so the mean rate stays 1
-  -periods2 N            cycle count for the -shape2 profile (0 = default)
-  -adversarial X         fraction of packets replaced by malformed wire images
-                         (truncated headers, fuzzed header fields)
-  -churn X               fraction of packets rewritten into fresh one-packet
-                         flows (flow-churn flood against stateful tables)
-
-observability (any command):
-  -trace-out f.jsonl   structured event trace of every simulated run
-                       (fault injections, recoveries, DVS transitions,
-                       packet drops, run lifecycle; cycle timestamps)
-  -progress            live experiment-grid progress on stderr
-  -cpuprofile f        pprof CPU profile of the whole command
-  -memprofile f        pprof heap profile written at exit
-`)
+	fmt.Fprint(w, "usage: clumsy <command> [flags]\n\ncommands:\n")
+	for _, c := range commands() {
+		fmt.Fprintf(w, "  %-12s %s\n", c.name, c.help)
+	}
+	fmt.Fprint(w, "\n`clumsy <command> -h` lists the flags a command reads.\n")
 }

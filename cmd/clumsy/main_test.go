@@ -4,12 +4,16 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"flag"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"clumsy/internal/packet"
+	"clumsy/internal/service"
 )
 
 func capture(t *testing.T, args ...string) string {
@@ -358,13 +362,6 @@ func TestExperimentGridTraced(t *testing.T) {
 	}
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 func TestVerifyCommand(t *testing.T) {
 	// At a moderate deterministic scale every claim passes and the
 	// command exits cleanly.
@@ -423,8 +420,174 @@ func TestOutFlagAtomicWrite(t *testing.T) {
 // normal run, proving the watchdog path composes with real cells.
 func TestRunTimeoutFlag(t *testing.T) {
 	plain := capture(t, "fig8", "-packets", "150", "-trials", "1")
-	guarded := capture(t, "fig8", "-packets", "150", "-trials", "1", "-run-timeout", "5m", "-retries", "2")
+	guarded := capture(t, "fig8", "-packets", "150", "-trials", "1", "-run-timeout", "5m")
 	if plain != guarded {
-		t.Fatal("deadline/retry flags changed the result of a healthy campaign")
+		t.Fatal("the deadline flag changed the result of a healthy campaign")
+	}
+}
+
+// TestFlagSurface pins the exact flags each command reads: -h lists
+// only those, and any other flag is a parse error.
+func TestFlagSurface(t *testing.T) {
+	const (
+		obs      = "cpuprofile memprofile out progress trace-out"
+		study    = "format journal max-drop-rate packets recovery resume run-timeout scale seed trials"
+		perApp   = study + " app"
+		sim      = "app cr dynamic max-drop-rate packets parity recovery regime scale scrub seed state-strikes strikes trace watchdog"
+		workload = "adversarial churn periods2 shape shape2"
+	)
+	want := map[string]string{
+		"fig1b": "format", "fig2b": "format", "fig3": "format", "fig4": "format", "fig5": "format",
+		"table1": study, "fig6": perApp, "fig7": perApp, "fig8": study,
+		"fig9": study, "fig10": study, "fig11": study, "fig12": study,
+		"all":    "journal max-drop-rate packets recovery resume run-timeout scale seed trials",
+		"verify": study,
+		"run":    sim + " " + workload,
+		"stats":  sim + " " + workload + " format describe",
+		"trace":  "app packets seed",
+		"fleet":  perApp + " " + workload + " cr dispatch dynamic faulty nodes",
+		"list":   "",
+		"ecc":    perApp, "subblock": perApp, "exponents": perApp, "dvs": perApp,
+		"geometry": perApp, "tuning": perApp, "media": study, "extensions": perApp,
+		"reliability": perApp, "state": study,
+	}
+	all := map[string]bool{}
+	for _, c := range commands() {
+		w, ok := want[c.name]
+		if !ok {
+			t.Errorf("command %s has no pinned flag set", c.name)
+			continue
+		}
+		delete(want, c.name)
+		exp := strings.Fields(obs + " " + w)
+		sort.Strings(exp)
+		var got []string
+		c.flagSet(new(cliOpts)).VisitAll(func(f *flag.Flag) {
+			got = append(got, f.Name)
+			all[f.Name] = true
+		})
+		if strings.Join(got, " ") != strings.Join(exp, " ") {
+			t.Errorf("%s flags:\n got %v\nwant %v", c.name, got, exp)
+		}
+	}
+	for name := range want {
+		t.Errorf("pinned command %s is not in the table", name)
+	}
+	if len(all) != 34 {
+		t.Errorf("the CLI defines %d distinct flags, want 34", len(all))
+	}
+}
+
+// TestUnreadFlagsRejected: a flag the command does not read is an error,
+// not silently ignored, and it has no side effect such as creating a
+// journal file.
+func TestUnreadFlagsRejected(t *testing.T) {
+	journal := filepath.Join(t.TempDir(), "j.jsonl")
+	for _, args := range [][]string{
+		{"table1", "-cr", "0.25"},
+		{"table1", "-regime", "burst"},
+		{"all", "-format", "csv"},
+		{"run", "-trials", "9"},
+		{"run", "-journal", journal},
+		{"fig1b", "-packets", "100"},
+		{"fig9", "-app", "nat"},
+		{"table1", "stray"},
+	} {
+		var buf bytes.Buffer
+		if err := run(args, &buf); err == nil {
+			t.Errorf("%v: accepted", args)
+		}
+	}
+	if _, err := os.Stat(journal); !os.IsNotExist(err) {
+		t.Fatalf("rejected run -journal left a file behind (stat err %v)", err)
+	}
+}
+
+// TestHelpFlag: -h prints the command's flags and is not an error.
+func TestHelpFlag(t *testing.T) {
+	var buf bytes.Buffer
+	if err := run([]string{"fig1b", "-h"}, &buf); err != nil {
+		t.Fatalf("fig1b -h: %v", err)
+	}
+}
+
+// TestRunHonoursSmallValues: run takes -packets and -scale as given,
+// below the old floors of 1000 packets and scale 1.
+func TestRunHonoursSmallValues(t *testing.T) {
+	if out := capture(t, "run", "-packets", "200"); !strings.Contains(out, "packets: 200/200 processed") {
+		t.Errorf("run -packets 200:\n%s", out)
+	}
+	if out := capture(t, "run", "-scale", "0.1"); !strings.Contains(out, "scale=0.1\n") {
+		t.Errorf("run -scale 0.1:\n%s", out)
+	}
+	if out := capture(t, "trace", "-packets", "5"); !strings.Contains(out, "5 packets, seed 1") {
+		t.Errorf("trace -packets 5:\n%s", out)
+	}
+	var buf bytes.Buffer
+	if err := run([]string{"run", "-packets", "0"}, &buf); err == nil {
+		t.Error("run -packets 0 accepted")
+	}
+}
+
+// TestUnknownAppFailsOnce: a grid cell is a pure function of its
+// configuration, so a bad application fails each cell once, on its first
+// attempt, with the unknown-application message.
+func TestUnknownAppFailsOnce(t *testing.T) {
+	var buf bytes.Buffer
+	err := run([]string{"fig6", "-app", "bogus", "-packets", "100", "-trials", "1"}, &buf)
+	if err == nil || !strings.Contains(err.Error(), `apps: unknown application "bogus"`) {
+		t.Fatalf("fig6 -app bogus: err = %v", err)
+	}
+	if n := strings.Count(err.Error(), "error-bogus cell 0:"); n != 1 {
+		t.Fatalf("cell 0 reported %d times, want once:\n%v", n, err)
+	}
+}
+
+// TestServiceMatchesCLI: a clumsyd campaign's published result is byte
+// for byte the CLI's output for the same study at the same scale.
+func TestServiceMatchesCLI(t *testing.T) {
+	svc, err := service.New(service.Config{DataDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	for _, tc := range []struct {
+		spec service.Spec
+		args []string
+	}{
+		{service.Spec{Study: "table1"}, []string{"table1"}},
+		{service.Spec{Study: "fig8"}, []string{"fig8"}},
+		{service.Spec{Study: "reliability"}, []string{"reliability"}},
+		{service.Spec{Study: "state"}, []string{"state"}},
+		{service.Spec{Study: "fleet", App: "route"}, []string{"fleet", "-app", "route"}},
+		{service.Spec{Study: "verify", Packets: 300}, []string{"verify", "-packets", "300"}},
+	} {
+		sp := tc.spec
+		if sp.Packets == 0 {
+			sp.Packets = 100
+		}
+		sp.Trials = 1
+		st, err := svc.Submit(sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, _ := svc.Get(st.ID)
+		select {
+		case <-c.Done():
+		case <-time.After(2 * time.Minute):
+			t.Fatalf("%s campaign did not finish", sp.Study)
+		}
+		got, err := c.Result()
+		if err != nil {
+			t.Fatalf("%s: no result (%v): %+v", sp.Study, err, svc.List())
+		}
+		args := append(tc.args, "-trials", "1")
+		if sp.Packets == 100 {
+			args = append(args, "-packets", "100")
+		}
+		if want := capture(t, args...); string(got) != want {
+			t.Errorf("%s: service result differs from clumsy %v:\n--- service ---\n%s--- cli ---\n%s",
+				sp.Study, args, got, want)
+		}
 	}
 }

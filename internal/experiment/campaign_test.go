@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"fmt"
 	"path/filepath"
 	"runtime"
 	"sync/atomic"
@@ -88,68 +87,12 @@ func TestCampaignResumeByteIdentical(t *testing.T) {
 	}
 }
 
-// TestRunCellRetryTransient: an unclassified host failure is retried with
-// backoff until it succeeds, within the configured budget.
-func TestRunCellRetryTransient(t *testing.T) {
-	o := Options{Retries: 3, RetryBackoff: time.Microsecond}
-	var attempts int
-	var out int
-	err := runCell(o, "flaky", 0, nil, &out, func() (int, error) {
-		attempts++
-		if attempts < 3 {
-			return 0, errors.New("read /proc/fake: transient I/O error")
-		}
-		return 42, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out != 42 || attempts != 3 {
-		t.Fatalf("out=%d attempts=%d, want 42 after 3 attempts", out, attempts)
-	}
-
-	// Budget exhausted: Retries=3 allows four attempts in total.
-	attempts = 0
-	err = runCell(o, "flaky", 1, nil, &out, func() (int, error) {
-		attempts++
-		return 0, errors.New("persistent host failure")
-	})
-	if err == nil || attempts != 4 {
-		t.Fatalf("err=%v attempts=%d, want failure after 4 attempts", err, attempts)
-	}
-}
-
-// TestRunCellNeverRetriesSimSemantic: simulated outcomes are pure functions
-// of the configuration — retrying them is at best wasted wall-clock and at
-// worst hides a modelling bug, so each is terminal on the first attempt.
-func TestRunCellNeverRetriesSimSemantic(t *testing.T) {
-	simErrs := []error{
-		clumsy.ErrDropRateExceeded,
-		clumsy.ErrWatchdog,
-		clumsy.ErrAppPanic,
-	}
-	for _, simErr := range simErrs {
-		o := Options{Retries: 5, RetryBackoff: time.Microsecond}
-		var attempts int
-		var out int
-		err := runCell(o, "sim", 0, nil, &out, func() (int, error) {
-			attempts++
-			return 0, fmt.Errorf("run failed: %w", simErr)
-		})
-		if !errors.Is(err, simErr) {
-			t.Fatalf("%v: error chain lost: %v", simErr, err)
-		}
-		if attempts != 1 {
-			t.Fatalf("%v: attempted %d times; sim-semantic errors must never retry", simErr, attempts)
-		}
-	}
-}
-
-// TestRunCellCancelledNotRetried: cancellation is not a transient failure.
-func TestRunCellCancelledNotRetried(t *testing.T) {
+// TestRunCellCancelled: a cancelled cell fails on its first attempt with
+// the cancellation in its error chain.
+func TestRunCellCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	o := Options{Ctx: ctx, Retries: 5, RetryBackoff: time.Microsecond}
+	o := Options{Ctx: ctx}
 	var attempts int
 	var out int
 	err := runCell(o, "cancelled", 0, nil, &out, func() (int, error) {
@@ -162,7 +105,7 @@ func TestRunCellCancelledNotRetried(t *testing.T) {
 }
 
 // TestRunCellDeadline: a wedged cell is killed by the wall-clock watchdog
-// with a diagnostic naming the study and cell, and is not retried.
+// with a diagnostic naming the study and cell.
 func TestRunCellDeadline(t *testing.T) {
 	tel := telemetry.New()
 	clumsy.SetDefaultTelemetry(tel)
@@ -170,7 +113,7 @@ func TestRunCellDeadline(t *testing.T) {
 
 	release := make(chan struct{})
 	defer close(release)
-	o := Options{RunTimeout: 20 * time.Millisecond, Retries: 5, RetryBackoff: time.Microsecond}
+	o := Options{RunTimeout: 20 * time.Millisecond}
 	var attempts atomic.Int32
 	var out int
 	err := runCell(o, "wedge", 3, nil, &out, func() (int, error) {
@@ -186,7 +129,7 @@ func TestRunCellDeadline(t *testing.T) {
 		t.Fatalf("diagnostic names %s[%d], want wedge[3]", te.Study, te.Index)
 	}
 	if got := attempts.Load(); got != 1 {
-		t.Fatalf("wedged cell attempted %d times; deadline kills must never retry", got)
+		t.Fatalf("wedged cell attempted %d times, want 1", got)
 	}
 	if got := tel.Registry.Counter(telemetry.CtrCampaignCellsTimedOut).Load(); got != 1 {
 		t.Fatalf("campaign.cells_timed_out = %d, want 1", got)
@@ -194,10 +137,9 @@ func TestRunCellDeadline(t *testing.T) {
 }
 
 // TestRunCellPanicTerminal: a panic inside a deadline-guarded cell surfaces
-// as an error carrying the cell identity instead of crashing, and is not
-// retried.
+// as an error carrying the cell identity instead of crashing.
 func TestRunCellPanicTerminal(t *testing.T) {
-	o := Options{RunTimeout: time.Second, Retries: 5, RetryBackoff: time.Microsecond}
+	o := Options{RunTimeout: time.Second}
 	var attempts int
 	var out int
 	err := runCell(o, "buggy", 7, nil, &out, func() (int, error) {
@@ -208,7 +150,7 @@ func TestRunCellPanicTerminal(t *testing.T) {
 		t.Fatalf("err = %v, want errCellPanic chain", err)
 	}
 	if attempts != 1 {
-		t.Fatalf("panicking cell attempted %d times; panics must never retry", attempts)
+		t.Fatalf("panicking cell attempted %d times, want 1", attempts)
 	}
 }
 

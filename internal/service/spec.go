@@ -93,9 +93,13 @@ func (sp Spec) options() (experiment.Options, error) {
 	return o, nil
 }
 
-// studyFn renders one complete study for the spec into w. The rendering
-// must match the clumsy CLI's for the same flags, so a service-run
-// campaign's result file is byte-comparable to a batch run.
+// studyFn renders one complete study for the spec into w. table1, fig8,
+// reliability, state, fleet and verify render byte for byte what the
+// clumsy command of the same name prints at the same scale, so their
+// result files are byte-comparable to a batch run. edf and errors have
+// no single CLI counterpart: the CLI renders those grids as figure
+// panels, while the service titles them "Service EDF grid" and "Service
+// error sweep".
 type studyFn func(o experiment.Options, sp Spec, w io.Writer) error
 
 // study couples the runner with its registry metadata.
