@@ -16,6 +16,7 @@ package cache
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"clumsy/internal/simmem"
 )
@@ -82,46 +83,63 @@ type Backend interface {
 	StoreLine(addr simmem.Addr, buf []byte) (float64, error)
 }
 
-// line is one cache line with per-word parity. The dead/strike fields
-// belong to the line-disable recovery action of the L1 data cache; other
-// levels never set them. A dead line is always invalid (disable
-// invalidates it), so the hit path needs no extra check. Every field
-// except the undo-log stamp is part of the rollback surface: statecover
-// requires the record/rollback pair to carry any field added here.
-//
-//lint:checkpoint record, rollback
-type line struct {
-	valid  bool
-	dirty  bool
-	tag    uint32
-	data   []byte
-	parity []byte   // one bit per 32-bit word, LSB used
-	enc    []uint32 // ECC-encoded words (nil unless SEC-DED is enabled)
-	lru    uint64
-
-	dead        bool   // frame disabled: never allocated, accesses bypass to L2
-	pinned      bool   // disabled by experiment control; survives re-enable
+// frame is the cold bookkeeping of one cache frame: everything except its
+// key (valid bit and tag) and its payload and check bits, which live in
+// the table's dense arrays. The dead/strike fields belong to the
+// line-disable recovery action of the L1 data cache; other levels never
+// set them. A dead frame is always invalid (disable invalidates it), so
+// the hit path needs no extra check. The undo log saves and restores
+// frames by value, so a field added here joins the rollback surface with
+// no further code.
+type frame struct {
+	lru        uint64
+	strikeMark uint64 // access clock at the start of the current window
+	// logged is undo-log bookkeeping, not machine state: the table epoch
+	// this frame's pre-image was logged in.
+	logged      uint64
 	strikes     uint32 // uncorrected strikes inside the current window
 	strikeTotal uint32 // cumulative uncorrected strikes (histogram)
 	epochMark   uint32 // last controller epoch this frame faulted in
-	strikeMark  uint64 // access clock at the start of the current window
-
-	//lint:ephemeral undo-log bookkeeping: the table epoch this frame's pre-image was logged in, not machine state
-	logged uint64
+	dirty       bool
+	dead        bool // frame disabled: never allocated, accesses bypass to L2
+	pinned      bool // disabled by experiment control; survives re-enable
 }
 
-// table is the shared set-associative storage and lookup machinery used by
-// every cache level.
+// table is the set-associative storage and lookup machinery every cache
+// level shares. Its frames are laid out set-major in flat arrays, so the
+// ways of set s are frames s*assoc through s*assoc+assoc-1:
+//
+//   - keys holds one key per frame, the line's base address with bit 0
+//     set as the valid bit (0 is an invalid frame). It is the only home of
+//     a frame's valid bit and tag, and a lookup reads nothing else: one
+//     compare per way.
+//   - data, parity and enc are per-frame arenas: frame f's payload is
+//     data[f*BlockSize:], its parity bytes (one per 32-bit word, LSB used)
+//     parity[f*BlockSize/4:] and its ECC-encoded words enc[f*BlockSize/4:].
+//     A level allocates only the arenas it reads: the L1I keeps tags only
+//     and has none, the L2 has no check bits, enc exists only under ECC.
+//   - meta holds the remaining per-frame state.
 //
 //lint:checkpoint commit, rollback
 type table struct {
-	cfg  Config
-	sets [][]line
+	cfg    Config
+	keys   []uint32
+	data   []byte
+	parity []byte
+	enc    []uint32
+	meta   []frame
+	//lint:ephemeral derived from the geometry at construction, never mutated
+	assoc int
+	// setShift is log2(BlockSize), the shift from an address to its block
+	// number; its users mask it to the operand width, so the compiler
+	// emits no oversized-shift handling on the hit path.
 	//lint:ephemeral derived from the geometry at construction, never mutated
 	setShift uint
 	//lint:ephemeral derived from the geometry at construction, never mutated
 	setMask uint32
-	tick    uint64
+	//lint:ephemeral derived from the geometry at construction, never mutated
+	baseMask uint32
+	tick     uint64
 
 	// epoch numbers the commits: a frame whose logged stamp equals it
 	// already has its pre-image in the log. log is nil until the first
@@ -131,64 +149,90 @@ type table struct {
 	log   *undoLog
 }
 
-func newTable(cfg Config) (*table, error) {
+// newTable builds an empty table; payload allocates the data arena. Each
+// level holds its table by value, so an access reaches the table's arrays
+// without a pointer hop.
+func newTable(cfg Config, payload bool) (table, error) {
 	if err := cfg.Validate(); err != nil {
-		return nil, err
+		return table{}, err
 	}
-	nsets := cfg.SizeBytes / (cfg.BlockSize * cfg.Assoc)
-	t := &table{cfg: cfg, setMask: uint32(nsets - 1)}
+	frames := cfg.SizeBytes / cfg.BlockSize
+	t := table{cfg: cfg, assoc: cfg.Assoc, setMask: uint32(frames/cfg.Assoc - 1),
+		baseMask: ^uint32(cfg.BlockSize - 1),
+		keys:     make([]uint32, frames), meta: make([]frame, frames)}
 	for bs := cfg.BlockSize; bs > 1; bs >>= 1 {
 		t.setShift++
 	}
-	t.sets = make([][]line, nsets)
-	for i := range t.sets {
-		ways := make([]line, cfg.Assoc)
-		for w := range ways {
-			ways[w].data = make([]byte, cfg.BlockSize)
-			ways[w].parity = make([]byte, cfg.BlockSize/4)
-		}
-		t.sets[i] = ways
+	if payload {
+		t.data = make([]byte, cfg.SizeBytes)
 	}
 	return t, nil
 }
 
-func (t *table) index(addr simmem.Addr) (set uint32, tag uint32) {
-	blk := uint32(addr) >> t.setShift
-	return blk & t.setMask, blk >> 0 // full block number as tag keeps lookups unambiguous
+// words returns the per-frame stride of the parity and ECC arenas.
+func (t *table) words() int { return t.cfg.BlockSize / 4 }
+
+// key returns the key a frame holding addr carries.
+func (t *table) key(addr simmem.Addr) uint32 { return uint32(addr)&t.baseMask | 1 }
+
+// base returns the address of the line valid frame f holds.
+func (t *table) base(f int) simmem.Addr { return simmem.Addr(t.keys[f] &^ 1) }
+
+// line returns frame f's payload.
+func (t *table) line(f int) []byte {
+	bs := t.cfg.BlockSize
+	return t.data[f*bs : f*bs+bs]
 }
 
-// lookup returns the way holding addr, or nil on a miss. It only probes:
-// a caller that uses the way touches it and then makes it the most
-// recently used. (Logging and the LRU update stay out of lookup and
-// victim so both remain small enough to inline into the access path.)
-func (t *table) lookup(addr simmem.Addr) *line {
-	set, tag := t.index(addr)
-	ways := t.sets[set]
-	for w := range ways {
-		if ways[w].valid && ways[w].tag == tag {
-			return &ways[w]
+// word returns the index, in the parity and ECC arenas, of the word of
+// frame f that holds addr; four times it is the word's payload offset.
+func (t *table) word(f int, addr simmem.Addr) int {
+	return (f<<(t.setShift&63) | int(uint32(addr)&^t.baseMask)) >> 2
+}
+
+// ways returns the first frame of addr's set.
+func (t *table) ways(addr simmem.Addr) int {
+	return int(uint32(addr)>>(t.setShift&31)&t.setMask) * t.assoc
+}
+
+// lookup returns the frame holding addr, or -1 on a miss. It only probes:
+// a caller that uses the frame touches it and then makes it the most
+// recently used. (Logging and the LRU update stay out of lookup so that
+// lookup, touch and use each stay small enough to inline into the access
+// paths.)
+func (t *table) lookup(addr simmem.Addr) int {
+	first, key := t.ways(addr), t.key(addr)
+	for w, k := range t.keys[first : first+t.assoc] {
+		if k == key {
+			return first + w
 		}
 	}
-	return nil
+	return -1
 }
 
-// victim returns the way to fill for addr (the invalid way if one exists,
-// otherwise the least recently used way); the caller touches it before
-// the refill. Dead ways are never allocated; when every way of the set is
-// dead, victim returns nil and the access must bypass to the next level.
-func (t *table) victim(addr simmem.Addr) *line {
-	set, _ := t.index(addr)
-	ways := t.sets[set]
-	var best *line
-	for w := range ways {
-		if ways[w].dead {
+// use makes frame f the most recently used.
+func (t *table) use(f int) {
+	t.tick++
+	t.meta[f].lru = t.tick
+}
+
+// victim returns the frame to fill for addr (the invalid way if one
+// exists, otherwise the least recently used way); the caller touches it
+// before the refill. Dead ways are never allocated; when every way of the
+// set is dead, victim returns -1 and the access must bypass to the next
+// level.
+func (t *table) victim(addr simmem.Addr) int {
+	first := t.ways(addr)
+	best := -1
+	for f := first; f < first+t.assoc; f++ {
+		if t.meta[f].dead {
 			continue
 		}
-		if !ways[w].valid {
-			return &ways[w]
+		if t.keys[f] == 0 {
+			return f
 		}
-		if best == nil || ways[w].lru < best.lru {
-			best = &ways[w]
+		if best < 0 || t.meta[f].lru < t.meta[best].lru {
+			best = f
 		}
 	}
 	return best
@@ -206,14 +250,10 @@ func (t *table) invalidateRange(addr simmem.Addr, n int) {
 	first := t.lineBase(addr)
 	last := t.lineBase(addr + simmem.Addr(n) - 1)
 	for a := first; ; a += simmem.Addr(t.cfg.BlockSize) {
-		set, tag := t.index(a)
-		ways := t.sets[set]
-		for w := range ways {
-			if ways[w].valid && ways[w].tag == tag {
-				t.touch(&ways[w])
-				ways[w].valid = false
-				ways[w].dirty = false
-			}
+		if f := t.lookup(a); f >= 0 {
+			t.touch(f)
+			t.keys[f] = 0
+			t.meta[f].dirty = false
 		}
 		if a >= last {
 			break
@@ -230,16 +270,12 @@ func (t *table) flushRange(addr simmem.Addr, n int, sink func(simmem.Addr, []byt
 	first := t.lineBase(addr)
 	last := t.lineBase(addr + simmem.Addr(n) - 1)
 	for a := first; ; a += simmem.Addr(t.cfg.BlockSize) {
-		set, tag := t.index(a)
-		ways := t.sets[set]
-		for w := range ways {
-			if ways[w].valid && ways[w].dirty && ways[w].tag == tag {
-				if err := sink(a, ways[w].data); err != nil {
-					return err
-				}
-				t.touch(&ways[w])
-				ways[w].dirty = false
+		if f := t.lookup(a); f >= 0 && t.meta[f].dirty {
+			if err := sink(a, t.line(f)); err != nil {
+				return err
 			}
+			t.touch(f)
+			t.meta[f].dirty = false
 		}
 		if a >= last {
 			break
@@ -250,35 +286,13 @@ func (t *table) flushRange(addr simmem.Addr, n int, sink func(simmem.Addr, []byt
 
 // invalidateAll drops every line (used between golden/faulty runs).
 func (t *table) invalidateAll() {
-	for s := range t.sets {
-		for w := range t.sets[s] {
-			ln := &t.sets[s][w]
-			if ln.valid || ln.dirty {
-				t.touch(ln)
-				ln.valid = false
-				ln.dirty = false
-			}
+	for f, k := range t.keys {
+		if k != 0 || t.meta[f].dirty {
+			t.touch(f)
+			t.keys[f] = 0
+			t.meta[f].dirty = false
 		}
 	}
-}
-
-// lineState is the restorable bookkeeping of one logged frame; the byte
-// payloads live in the flat buffers of the undoLog.
-type lineState struct {
-	valid bool
-	dirty bool
-	tag   uint32
-	lru   uint64
-
-	// Line-disable bookkeeping: rolled back with the contents so a
-	// contained packet drop restores the exact strike map and disabled
-	// set, keeping resumed campaigns byte-identical.
-	dead        bool
-	pinned      bool
-	strikes     uint32
-	strikeTotal uint32
-	strikeMark  uint64
-	epochMark   uint32
 }
 
 // undoLog is a table's restore point, kept as the pre-images of the frames
@@ -286,45 +300,50 @@ type lineState struct {
 // commit is O(1) and rollback O(frames touched), as simmem.Checkpoint is
 // one level down at page granularity. Statistics and energy are
 // deliberately not logged: a fault-containment rollback rewinds the
-// machine's contents, not its measurements. The buffers are sized for
-// every frame of the table when the log is armed; a frame is logged at
-// most once per epoch, so n never exceeds the frame count and recording
-// never allocates.
+// machine's contents, not its measurements. Entry i mirrors the table's
+// arrays at frame frames[i]; each buffer is as large as the table's own
+// array, because a frame is logged at most once per epoch, so n never
+// exceeds the frame count and recording never allocates.
 type undoLog struct {
 	tick   uint64 // table clock at the restore point
 	n      int    // frames logged this epoch
-	frames []*line
-	meta   []lineState
+	frames []int32
+	keys   []uint32
+	meta   []frame
 	data   []byte
-	par    []byte
-	enc    []uint32 // empty unless ECC storage is allocated
+	parity []byte
+	enc    []uint32
 }
 
-// touch logs ln's pre-image before its first mutation since the last
-// commit. Every write to a line is preceded by one: the levels' access
-// paths touch the way lookup or victim returned before updating or
-// refilling it, and the bulk walks (invalidate, flush, line disable and
-// re-enable) touch each frame they change.
-func (t *table) touch(ln *line) {
-	if t.log != nil && ln.logged != t.epoch {
-		ln.logged = t.epoch
-		t.log.record(ln)
+// touch logs frame f's pre-image before its first mutation since the
+// last commit. Every write to a frame is preceded by one: the levels'
+// access paths touch the frame lookup or victim returned before updating
+// or refilling it, and the bulk walks (invalidate, flush, line disable
+// and re-enable) touch each frame they change.
+func (t *table) touch(f int) {
+	if t.log != nil && t.meta[f].logged != t.epoch {
+		t.record(f)
 	}
 }
 
-// record appends ln's current state to the log.
-func (l *undoLog) record(ln *line) {
+// record stamps frame f and appends its current state to the log.
+func (t *table) record(f int) {
+	t.meta[f].logged = t.epoch
+	l := t.log
 	i := l.n
 	l.n++
-	l.frames[i] = ln
-	l.meta[i] = lineState{valid: ln.valid, dirty: ln.dirty, tag: ln.tag, lru: ln.lru,
-		dead: ln.dead, pinned: ln.pinned, strikes: ln.strikes,
-		strikeTotal: ln.strikeTotal, strikeMark: ln.strikeMark, epochMark: ln.epochMark}
-	bs, ws := len(ln.data), len(ln.parity)
-	copy(l.data[i*bs:], ln.data)
-	copy(l.par[i*ws:], ln.parity)
-	if ln.enc != nil {
-		copy(l.enc[i*ws:], ln.enc)
+	l.frames[i] = int32(f)
+	l.keys[i] = t.keys[f]
+	l.meta[i] = t.meta[f]
+	bs, ws := t.cfg.BlockSize, t.words()
+	if t.data != nil {
+		copy(l.data[i*bs:(i+1)*bs], t.data[f*bs:])
+	}
+	if t.parity != nil {
+		copy(l.parity[i*ws:(i+1)*ws], t.parity[f*ws:])
+	}
+	if t.enc != nil {
+		copy(l.enc[i*ws:(i+1)*ws], t.enc[f*ws:])
 	}
 }
 
@@ -332,13 +351,9 @@ func (l *undoLog) record(ln *line) {
 // undo log on first use. Bumping the epoch un-logs every frame at once.
 func (t *table) commit() {
 	if t.log == nil {
-		n, bs, ws := len(t.sets)*t.cfg.Assoc, t.cfg.BlockSize, t.cfg.BlockSize/4
-		encWords := 0
-		if t.sets[0][0].enc != nil {
-			encWords = n * ws
-		}
+		n := len(t.keys)
 		//lint:alloc-ok arming: the log's one allocation, sized so recording never grows it; the zero-alloc pin verifies the steady state
-		t.log = &undoLog{frames: make([]*line, n), meta: make([]lineState, n), data: make([]byte, n*bs), par: make([]byte, n*ws), enc: make([]uint32, encWords)}
+		t.log = &undoLog{frames: make([]int32, n), keys: make([]uint32, n), meta: make([]frame, n), data: make([]byte, len(t.data)), parity: make([]byte, len(t.parity)), enc: make([]uint32, len(t.enc))}
 	}
 	t.log.tick = t.tick
 	t.log.n = 0
@@ -350,16 +365,19 @@ func (t *table) commit() {
 // mutated, so afterwards the table equals its restore point exactly.
 func (t *table) rollback() {
 	l := t.log
-	for i, ln := range l.frames[:l.n] {
-		st := &l.meta[i]
-		ln.valid, ln.dirty, ln.tag, ln.lru = st.valid, st.dirty, st.tag, st.lru
-		ln.dead, ln.pinned, ln.strikes = st.dead, st.pinned, st.strikes
-		ln.strikeTotal, ln.strikeMark, ln.epochMark = st.strikeTotal, st.strikeMark, st.epochMark
-		bs, ws := len(ln.data), len(ln.parity)
-		copy(ln.data, l.data[i*bs:(i+1)*bs])
-		copy(ln.parity, l.par[i*ws:(i+1)*ws])
-		if ln.enc != nil {
-			copy(ln.enc, l.enc[i*ws:(i+1)*ws])
+	bs, ws := t.cfg.BlockSize, t.words()
+	for i, f32 := range l.frames[:l.n] {
+		f := int(f32)
+		t.keys[f] = l.keys[i]
+		t.meta[f] = l.meta[i]
+		if t.data != nil {
+			copy(t.data[f*bs:(f+1)*bs], l.data[i*bs:])
+		}
+		if t.parity != nil {
+			copy(t.parity[f*ws:(f+1)*ws], l.parity[i*ws:])
+		}
+		if t.enc != nil {
+			copy(t.enc[f*ws:(f+1)*ws], l.enc[i*ws:])
 		}
 	}
 	t.tick = l.tick
@@ -368,11 +386,4 @@ func (t *table) rollback() {
 }
 
 // wordParity returns the even-parity bit of a 32-bit word.
-func wordParity(v uint32) byte {
-	v ^= v >> 16
-	v ^= v >> 8
-	v ^= v >> 4
-	v ^= v >> 2
-	v ^= v >> 1
-	return byte(v & 1)
-}
+func wordParity(v uint32) byte { return byte(bits.OnesCount32(v) & 1) }

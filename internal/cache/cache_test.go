@@ -333,3 +333,14 @@ func TestNewHierarchyWithBadConfig(t *testing.T) {
 		t.Fatal("invalid L2 geometry accepted")
 	}
 }
+
+// cachedByte returns the payload byte caching address a, or nil when a's
+// line is not resident: tests corrupt it to stand in for a fault left
+// behind in the array.
+func (t *table) cachedByte(a simmem.Addr) *byte {
+	f := t.lookup(a)
+	if f < 0 {
+		return nil
+	}
+	return &t.line(f)[int(a)&(t.cfg.BlockSize-1)]
+}

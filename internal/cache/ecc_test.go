@@ -23,15 +23,6 @@ func TestClassifyECC(t *testing.T) {
 	}
 }
 
-func TestPopcount32(t *testing.T) {
-	cases := map[uint32]int{0: 0, 1: 1, 3: 2, 0xff: 8, 0xffffffff: 32, 0x80000001: 2}
-	for v, want := range cases {
-		if got := popcount32(v); got != want {
-			t.Errorf("popcount32(%#x) = %d, want %d", v, got, want)
-		}
-	}
-}
-
 // eccHierarchy builds an ECC-protected hierarchy with a manual injector.
 func eccHierarchy(t *testing.T) *Hierarchy {
 	t.Helper()
@@ -53,9 +44,7 @@ func TestECCCorrectsSingleBitWriteFault(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Corrupt one stored bit by hand (a write-path fault left it behind).
-	ln := h.L1D.tab.lookup(a)
-	w := int(a) & (DefaultL1D.BlockSize - 1) &^ 3
-	ln.data[w] ^= 0x04
+	*h.L1D.tab.cachedByte(a &^ 3) ^= 0x04
 	v, err := h.L1D.Load32(a)
 	if err != nil {
 		t.Fatal(err)
@@ -86,9 +75,7 @@ func TestECCDetectsDoubleBitAndRecovers(t *testing.T) {
 	if _, err := h.L1D.Load32(a); err != nil {
 		t.Fatal(err)
 	}
-	ln := h.L1D.tab.lookup(a)
-	w := int(a) & (DefaultL1D.BlockSize - 1) &^ 3
-	ln.data[w] ^= 0x03 // two bits: uncorrectable, detectable
+	*h.L1D.tab.cachedByte(a &^ 3) ^= 0x03 // two bits: uncorrectable, detectable
 	v, err := h.L1D.Load32(a)
 	if err != nil {
 		t.Fatal(err)
@@ -128,9 +115,7 @@ func TestSubBlockRecoveryKeepsDirtyNeighbours(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Corrupt word 0 with stale parity.
-	ln := h.L1D.tab.lookup(a)
-	w := int(a) & (DefaultL1D.BlockSize - 1) &^ 3
-	ln.data[w] ^= 0x01
+	*h.L1D.tab.cachedByte(a &^ 3) ^= 0x01
 	wbBefore := h.L1D.Stats.Writebacks
 	v, err := h.L1D.Load32(a)
 	if err != nil {

@@ -124,13 +124,12 @@ func TestRecoveryRestoresCorrectData(t *testing.T) {
 	if _, err := h.L1D.Load32(a); err != nil {
 		t.Fatal(err)
 	}
-	ln := h.L1D.tab.lookup(a)
-	if ln == nil {
+	f := h.L1D.tab.lookup(a)
+	if f < 0 {
 		t.Fatal("line not resident")
 	}
-	w := int(a) & (DefaultL1D.BlockSize - 1) &^ 3
-	ln.data[w] ^= 0x01
-	ln.dirty = false // pretend the corrupt value was never legitimately dirtied
+	*h.L1D.tab.cachedByte(a &^ 3) ^= 0x01
+	h.L1D.tab.meta[f].dirty = false // pretend the corrupt value was never legitimately dirtied
 
 	v, err := h.L1D.Load32(a)
 	if err != nil {
@@ -148,18 +147,15 @@ func TestRecoveryRestoresCorrectData(t *testing.T) {
 // Test helper: exercises the write-back path deterministically.
 func (c *L1Data) InvalidateAllWriteback(t *testing.T) {
 	t.Helper()
-	for s := range c.tab.sets {
-		for w := range c.tab.sets[s] {
-			ln := &c.tab.sets[s][w]
-			if ln.valid && ln.dirty {
-				base := simmem.Addr(ln.tag) << c.tab.setShift
-				if _, err := c.next.StoreLine(base, ln.data); err != nil {
-					t.Fatal(err)
-				}
+	tab := &c.tab
+	for f := range tab.keys {
+		if tab.keys[f] != 0 && tab.meta[f].dirty {
+			if _, err := c.next.StoreLine(tab.base(f), tab.line(f)); err != nil {
+				t.Fatal(err)
 			}
-			ln.valid = false
-			ln.dirty = false
 		}
+		tab.keys[f] = 0
+		tab.meta[f].dirty = false
 	}
 }
 
@@ -177,9 +173,7 @@ func TestEvenBitFaultEscapesParity(t *testing.T) {
 	if err := h.L1D.Store32(a, 0); err != nil {
 		t.Fatal(err)
 	}
-	ln := h.L1D.tab.lookup(a)
-	w := int(a) & (DefaultL1D.BlockSize - 1) &^ 3
-	ln.data[w] ^= 0x03 // two bits: even parity preserved
+	*h.L1D.tab.cachedByte(a &^ 3) ^= 0x03 // two bits: even parity preserved
 	v, err := h.L1D.Load32(a)
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"encoding/binary"
 	"math/bits"
 
 	"clumsy/internal/circuit"
@@ -76,7 +77,7 @@ type EnergyWeights struct {
 //
 //lint:checkpoint Snapshot, RestoreSnapshot, syncDisabled
 type L1Data struct {
-	tab *table
+	tab table
 	//lint:ephemeral topology wiring, immutable after construction
 	next Backend
 
@@ -110,8 +111,6 @@ type L1Data struct {
 	vsr float64 // relative voltage swing at cr
 	//lint:ephemeral physical operating point; re-clocking is a ladder decision, not memory contents
 	lat float64 // current access latency in core cycles (Latency * cr)
-	//lint:ephemeral scratch buffer, dead outside a single access
-	fill []byte // scratch line buffer
 	//lint:ephemeral scratch buffer, dead outside a single access
 	word [4]byte // scratch word buffer; local arrays escape through the next-level interface
 
@@ -168,22 +167,18 @@ func (c *L1Data) memCycles() float64 {
 // NewL1Data builds the clumsy L1 data cache over next. strikes selects the
 // recovery scheme (1, 2, or 3); it is ignored under DetectionNone.
 func NewL1Data(cfg Config, next Backend, inj fault.Process, det Detection, strikes int) (*L1Data, error) {
-	tab, err := newTable(cfg)
+	tab, err := newTable(cfg, true)
 	if err != nil {
 		return nil, err
+	}
+	tab.parity = make([]byte, cfg.SizeBytes/4)
+	if det == DetectionECC {
+		tab.enc = make([]uint32, cfg.SizeBytes/4)
 	}
 	if strikes < 1 || strikes > 3 {
 		strikes = 1
 	}
-	c := &L1Data{tab: tab, next: next, injector: inj, detection: det, strikes: strikes,
-		epochSeq: 1, fill: make([]byte, cfg.BlockSize)}
-	if det == DetectionECC {
-		for si := range tab.sets {
-			for w := range tab.sets[si] {
-				tab.sets[si][w].enc = make([]uint32, cfg.BlockSize/4)
-			}
-		}
-	}
+	c := &L1Data{tab: tab, next: next, injector: inj, detection: det, strikes: strikes, epochSeq: 1}
 	c.SetCycleTime(1)
 	return c, nil
 }
@@ -225,27 +220,16 @@ func (c *L1Data) ForceDisable(frac float64) {
 	if frac <= 0 {
 		return
 	}
-	total := len(c.tab.sets) * c.tab.cfg.Assoc
-	n := int(frac*float64(total) + 0.999999)
-	if n > total {
-		n = total
-	}
-	marked := 0
-	for s := range c.tab.sets {
-		for w := range c.tab.sets[s] {
-			if marked >= n {
-				return
-			}
-			ln := &c.tab.sets[s][w]
-			if !ln.dead {
-				c.tab.touch(ln)
-				ln.dead = true
-				ln.pinned = true
-				ln.valid = false
-				ln.dirty = false
-				c.deadLines++
-			}
-			marked++
+	t := &c.tab
+	n := min(int(frac*float64(len(t.keys))+0.999999), len(t.keys))
+	for f := range n {
+		if m := &t.meta[f]; !m.dead {
+			t.touch(f)
+			m.dead = true
+			m.pinned = true
+			m.dirty = false
+			t.keys[f] = 0
+			c.deadLines++
 		}
 	}
 }
@@ -256,11 +240,7 @@ func (c *L1Data) DisabledLines() int { return c.deadLines }
 // DisabledFraction returns the fraction of L1D capacity currently
 // disabled.
 func (c *L1Data) DisabledFraction() float64 {
-	total := len(c.tab.sets) * c.tab.cfg.Assoc
-	if total == 0 {
-		return 0
-	}
-	return float64(c.deadLines) / float64(total)
+	return float64(c.deadLines) / float64(len(c.tab.keys))
 }
 
 // StrikeHistogram buckets the frames that took uncorrected strikes by
@@ -269,16 +249,9 @@ func (c *L1Data) DisabledFraction() float64 {
 // are not counted, so the histogram is all-zero for a strike-free run.
 func (c *L1Data) StrikeHistogram() [8]uint64 {
 	var h [8]uint64
-	for s := range c.tab.sets {
-		for w := range c.tab.sets[s] {
-			b := c.tab.sets[s][w].strikeTotal
-			if b == 0 {
-				continue
-			}
-			if b > 7 {
-				b = 7
-			}
-			h[b]++
+	for _, m := range c.tab.meta {
+		if m.strikeTotal != 0 {
+			h[min(m.strikeTotal, 7)]++
 		}
 	}
 	return h
@@ -300,47 +273,44 @@ func (c *L1Data) TakeEpochEvidence() (distinctLines int, disabledFrac float64) {
 // It also feeds the per-epoch spatial evidence, which is tracked even
 // while line disable itself is disarmed (the evidence costs two integer
 // compares on a path that already paid for a detected fault).
-func (c *L1Data) noteStrike(ln *line) bool {
-	if ln.epochMark != c.epochSeq {
-		ln.epochMark = c.epochSeq
+func (c *L1Data) noteStrike(fr *frame) bool {
+	if fr.epochMark != c.epochSeq {
+		fr.epochMark = c.epochSeq
 		c.epochDistinct++
 	}
-	ln.strikeTotal++
+	fr.strikeTotal++
 	if c.disableStrikes <= 0 {
 		return false
 	}
 	now := c.Stats.Reads + c.Stats.Writes
-	if ln.strikes == 0 || now-ln.strikeMark > c.disableWindow {
-		ln.strikeMark = now
-		ln.strikes = 0
+	if fr.strikes == 0 || now-fr.strikeMark > c.disableWindow {
+		fr.strikeMark = now
+		fr.strikes = 0
 	}
-	ln.strikes++
-	return int(ln.strikes) >= c.disableStrikes
+	fr.strikes++
+	return int(fr.strikes) >= c.disableStrikes
 }
 
 // disableLine marks an (already invalidated) frame dead.
-func (c *L1Data) disableLine(ln *line, addr simmem.Addr) {
-	ln.dead = true
+func (c *L1Data) disableLine(fr *frame, addr simmem.Addr) {
+	fr.dead = true
 	c.deadLines++
 	c.Recovery.LineDisables++
 	if c.rt != nil {
-		c.rt.LineDisable(uint64(addr), int(ln.strikes), c.deadLines)
+		c.rt.LineDisable(uint64(addr), int(fr.strikes), c.deadLines)
 	}
 }
 
 // reenableAll returns every non-pinned dead frame to service with a clean
 // strike window. Frames stay invalid (they were invalidated at disable).
 func (c *L1Data) reenableAll() {
-	for s := range c.tab.sets {
-		for w := range c.tab.sets[s] {
-			ln := &c.tab.sets[s][w]
-			if ln.dead && !ln.pinned {
-				c.tab.touch(ln)
-				ln.dead = false
-				ln.strikes = 0
-				c.deadLines--
-				c.Recovery.LineReEnables++
-			}
+	for f := range c.tab.meta {
+		if m := &c.tab.meta[f]; m.dead && !m.pinned {
+			c.tab.touch(f)
+			m.dead = false
+			m.strikes = 0
+			c.deadLines--
+			c.Recovery.LineReEnables++
 		}
 	}
 }
@@ -348,11 +318,9 @@ func (c *L1Data) reenableAll() {
 // syncDisabled recounts the disabled frames after a snapshot restore.
 func (c *L1Data) syncDisabled() {
 	n := 0
-	for s := range c.tab.sets {
-		for w := range c.tab.sets[s] {
-			if c.tab.sets[s][w].dead {
-				n++
-			}
+	for _, m := range c.tab.meta {
+		if m.dead {
+			n++
 		}
 	}
 	c.deadLines = n
@@ -472,38 +440,34 @@ func (c *L1Data) chargeArrayWrite() {
 //lint:cycle-accounting
 func (c *L1Data) chargeFillDrive() { c.Energy.WriteSwing += c.vsr }
 
-// ensure returns the line containing addr, filling on a miss. When every
-// way of the set is disabled it returns (nil, nil) after counting the
-// forced miss; the caller serves the access via the L2 bypass path.
-// recovering marks a refill forced by the recovery machinery: its backend
-// stalls land in the recovery bucket instead of the L2/memory split.
-func (c *L1Data) ensure(addr simmem.Addr, isWrite, recovering bool) (*line, error) {
-	if ln := c.tab.lookup(addr); ln != nil {
-		c.tab.touch(ln)
-		c.tab.tick++
-		ln.lru = c.tab.tick
-		return ln, nil
-	}
+// refill brings the line containing addr into the cache after a miss and
+// returns its frame. When every way of the set is disabled it returns -1
+// after counting the forced miss; the caller serves the access via the L2
+// bypass path. recovering marks a refill forced by the recovery machinery:
+// its backend stalls land in the recovery bucket instead of the L2/memory
+// split.
+func (c *L1Data) refill(addr simmem.Addr, isWrite, recovering bool) (int, error) {
 	if isWrite {
 		c.Stats.WriteMisses++
 	} else {
 		c.Stats.ReadMisses++
 	}
-	victim := c.tab.victim(addr)
-	if victim == nil {
-		return nil, nil
+	t := &c.tab
+	f := t.victim(addr)
+	if f < 0 {
+		return -1, nil
 	}
-	c.tab.touch(victim)
-	if victim.valid && victim.dirty {
+	t.touch(f)
+	line := t.line(f)
+	if t.keys[f] != 0 && t.meta[f].dirty {
 		// A dirty line carries values that may have been corrupted by a
 		// write-path fault; writing it back is the paper's path by which
 		// "an incorrect value from level-1 is written to" the L2.
 		c.Stats.Writebacks++
-		base := simmem.Addr(victim.tag) << c.tab.setShift
 		m0 := c.memCycles()
-		cyc, err := c.next.StoreLine(base, victim.data)
+		cyc, err := c.next.StoreLine(t.base(f), line)
 		if err != nil {
-			return nil, err
+			return -1, err
 		}
 		if recovering {
 			c.chargeRecoveryStall(cyc)
@@ -511,11 +475,10 @@ func (c *L1Data) ensure(addr simmem.Addr, isWrite, recovering bool) (*line, erro
 			c.chargeStall(cyc, c.memCycles()-m0)
 		}
 	}
-	base := c.tab.lineBase(addr)
 	m0 := c.memCycles()
-	cyc, err := c.next.FetchLine(base, victim.data)
+	cyc, err := c.next.FetchLine(t.lineBase(addr), line)
 	if err != nil {
-		return nil, err
+		return -1, err
 	}
 	if recovering {
 		c.chargeRecoveryStall(cyc)
@@ -525,56 +488,82 @@ func (c *L1Data) ensure(addr simmem.Addr, isWrite, recovering bool) (*line, erro
 	// The fill drives the array once; parity is computed per word from the
 	// (correct) L2 data.
 	c.chargeFillDrive()
-	for w := 0; w < len(victim.data); w += 4 {
-		victim.parity[w/4] = wordParity(leWord(victim.data[w:]))
-		if victim.enc != nil {
-			victim.enc[w/4] = leWord(victim.data[w:])
+	first := f * t.words()
+	for w := range t.words() {
+		v := binary.LittleEndian.Uint32(line[4*w:])
+		t.parity[first+w] = wordParity(v)
+		if t.enc != nil {
+			t.enc[first+w] = v
 		}
 	}
-	_, tag := c.tab.index(addr)
-	victim.valid = true
-	victim.dirty = false
-	victim.tag = tag
-	c.tab.tick++
-	victim.lru = c.tab.tick
-	return victim, nil
+	t.keys[f] = t.key(addr)
+	t.meta[f].dirty = false
+	t.use(f)
+	return f, nil
 }
 
-func leWord(b []byte) uint32 {
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
-}
-
-func putLeWord(b []byte, v uint32) {
-	b[0] = byte(v)
-	b[1] = byte(v >> 8)
-	b[2] = byte(v >> 16)
-	b[3] = byte(v >> 24)
-}
-
-// readWord performs the full clumsy read of the aligned 32-bit word at
-// addr: injection, parity check, strikes, and recovery through L2.
+// readWord performs the clumsy read of the aligned 32-bit word at addr.
+// A hit reads only the table's dense arrays, and a first drive that comes
+// back clean returns here after its one fault draw; anything else goes to
+// resolveRead.
 func (c *L1Data) readWord(addr simmem.Addr) (uint32, error) {
 	c.Stats.Reads++
-	ln, err := c.ensure(addr, false, false)
-	if err != nil {
-		return 0, err
+	t := &c.tab
+	f := t.lookup(addr)
+	if f >= 0 {
+		t.touch(f)
+		t.use(f)
+	} else {
+		var err error
+		if f, err = c.refill(addr, false, false); err != nil {
+			return 0, err
+		}
+		if f < 0 {
+			return c.bypassReadWord(addr)
+		}
 	}
-	if ln == nil {
-		return c.bypassReadWord(addr)
+	c.chargeArrayRead()
+	w := t.word(f, addr)
+	stored := binary.LittleEndian.Uint32(t.data[4*w:])
+	mask := uint32(c.injector.NextAt(uint64(addr)))
+	if mask == 0 {
+		switch c.detection {
+		case DetectionNone:
+			return stored, nil
+		case DetectionECC:
+			if stored == t.enc[w] {
+				return stored, nil
+			}
+		case DetectionParity:
+			fallthrough
+		default: // any unrecognised scheme behaves like parity
+			if wordParity(stored) == t.parity[w] {
+				return stored, nil
+			}
+		}
 	}
-	w := int(addr) & (c.tab.cfg.BlockSize - 1) &^ 3
+	return c.resolveRead(addr, f, stored, mask)
+}
+
+// resolveRead finishes a read whose first array drive of frame f did not
+// come back clean: stored is the word that drive read and mask the fault
+// it drew, so the word is not drawn twice. It runs the injection
+// accounting, the parity or ECC check, the k-strike retries and the
+// recovery through the L2; every further drive of the array draws once
+// more.
+func (c *L1Data) resolveRead(addr simmem.Addr, f int, stored, mask uint32) (uint32, error) {
+	t := &c.tab
 	recoveries := 0
 	for attempt := 1; ; attempt++ {
+		w := t.word(f, addr)
 		if attempt > 1 || recoveries > 0 {
 			// Everything beyond the first pristine array drive of this
 			// word is recovery-induced: a k-strike retry or a re-read
 			// after a refetch.
 			c.chargeArrayRetry()
-		} else {
-			c.chargeArrayRead()
+			stored = binary.LittleEndian.Uint32(t.data[4*w:])
+			mask = uint32(c.injector.NextAt(uint64(addr)))
 		}
-		stored := leWord(ln.data[w:])
-		mask := uint32(c.injector.NextAt(uint64(addr)))
 		if mask != 0 {
 			c.Recovery.FaultsOnRead++
 			if c.rt != nil {
@@ -586,7 +575,7 @@ func (c *L1Data) readWord(addr simmem.Addr) (uint32, error) {
 		case DetectionNone:
 			return v, nil
 		case DetectionECC:
-			decoded, outcome := classifyECC(v, ln.enc[w/4])
+			decoded, outcome := classifyECC(v, t.enc[w])
 			switch outcome {
 			case eccClean:
 				return v, nil
@@ -597,8 +586,8 @@ func (c *L1Data) readWord(addr simmem.Addr) (uint32, error) {
 				}
 				// Scrub: the corrected value is written back into the
 				// array so a persistent write fault does not linger.
-				putLeWord(ln.data[w:], decoded)
-				ln.parity[w/4] = wordParity(decoded)
+				binary.LittleEndian.PutUint32(t.data[4*w:], decoded)
+				t.parity[w] = wordParity(decoded)
 				return decoded, nil
 			case eccMiscorrected:
 				c.Recovery.Miscorrected++
@@ -609,7 +598,7 @@ func (c *L1Data) readWord(addr simmem.Addr) (uint32, error) {
 		case DetectionParity:
 			fallthrough
 		default: // any unrecognised scheme behaves like parity
-			if wordParity(v) == ln.parity[w/4] {
+			if wordParity(v) == t.parity[w] {
 				return v, nil
 			}
 		}
@@ -633,7 +622,7 @@ func (c *L1Data) readWord(addr simmem.Addr) (uint32, error) {
 		// level. Attribute a strike to the frame; a frame that keeps
 		// collecting them inside the window is disabled rather than
 		// endlessly refetched.
-		disable := c.noteStrike(ln)
+		disable := c.noteStrike(&t.meta[f])
 		if c.subBlock && !disable {
 			// Sub-block recovery (footnote 2): refetch only the affected
 			// word from L2; the rest of the line, including dirty
@@ -649,11 +638,11 @@ func (c *L1Data) readWord(addr simmem.Addr) (uint32, error) {
 				return 0, err
 			}
 			c.chargeRecoveryStall(cyc)
-			copy(ln.data[w:w+4], word)
-			fresh := leWord(word)
-			ln.parity[w/4] = wordParity(fresh)
-			if ln.enc != nil {
-				ln.enc[w/4] = fresh
+			copy(t.data[4*w:4*w+4], word)
+			fresh := binary.LittleEndian.Uint32(word)
+			t.parity[w] = wordParity(fresh)
+			if t.enc != nil {
+				t.enc[w] = fresh
 			}
 			attempt = 0
 			continue
@@ -667,25 +656,24 @@ func (c *L1Data) readWord(addr simmem.Addr) (uint32, error) {
 			c.rt.Recovery("line", attempt, uint64(addr))
 		}
 		c.Stats.Invalidations++
-		if ln.dirty {
+		if t.meta[f].dirty {
 			c.Stats.Writebacks++
-			base := simmem.Addr(ln.tag) << c.tab.setShift
-			cyc, err := c.next.StoreLine(base, ln.data)
+			cyc, err := c.next.StoreLine(t.base(f), t.line(f))
 			if err != nil {
 				return 0, err
 			}
 			c.chargeRecoveryStall(cyc)
 		}
-		ln.valid = false
-		ln.dirty = false
+		t.keys[f] = 0
+		t.meta[f].dirty = false
 		if disable {
-			c.disableLine(ln, addr)
+			c.disableLine(&t.meta[f], addr)
 		}
-		ln, err = c.ensure(addr, false, true)
-		if err != nil {
+		var err error
+		if f, err = c.refill(addr, false, true); err != nil {
 			return 0, err
 		}
-		if ln == nil {
+		if f < 0 {
 			// The disable emptied the set: serve the word uncached.
 			return c.bypassReadWord(addr)
 		}
@@ -712,14 +700,14 @@ func (c *L1Data) bypassReadWord(addr simmem.Addr) (uint32, error) {
 	// dead, not a recovery event: its round trips split into the normal
 	// L2/memory buckets.
 	c.chargeStall(cyc, c.memCycles()-m0)
-	return leWord(word), nil
+	return binary.LittleEndian.Uint32(word), nil
 }
 
 // bypassWriteWord writes one aligned word straight through to the L2.
 func (c *L1Data) bypassWriteWord(addr simmem.Addr, v uint32) error {
 	c.Recovery.Bypasses++
 	word := c.word[:]
-	putLeWord(word, v)
+	binary.LittleEndian.PutUint32(word, v)
 	m0 := c.memCycles()
 	cyc, err := c.next.StoreLine(addr, word)
 	if err != nil {
@@ -735,36 +723,47 @@ func (c *L1Data) bypassWriteWord(addr simmem.Addr, v uint32) error {
 // number of bits flip).
 func (c *L1Data) writeWord(addr simmem.Addr, v uint32) error {
 	c.Stats.Writes++
-	ln, err := c.ensure(addr, true, false)
-	if err != nil {
-		return err
-	}
-	if ln == nil {
-		return c.bypassWriteWord(addr, v)
-	}
-	c.chargeArrayWrite()
-	w := int(addr) & (c.tab.cfg.BlockSize - 1)
-	w &^= 3
-	mask := uint32(c.injector.NextAt(uint64(addr)))
-	if mask != 0 {
-		c.Recovery.FaultsOnWrite++
-		if c.rt != nil {
-			c.rt.FaultInjection("write", bits.OnesCount32(mask), uint64(addr))
+	t := &c.tab
+	f := t.lookup(addr)
+	if f >= 0 {
+		t.touch(f)
+		t.use(f)
+	} else {
+		var err error
+		if f, err = c.refill(addr, true, false); err != nil {
+			return err
+		}
+		if f < 0 {
+			return c.bypassWriteWord(addr, v)
 		}
 	}
-	putLeWord(ln.data[w:], v^mask)
-	ln.parity[w/4] = wordParity(v)
-	if ln.enc != nil {
-		ln.enc[w/4] = v
+	c.chargeArrayWrite()
+	mask := uint32(c.injector.NextAt(uint64(addr)))
+	if mask != 0 {
+		c.noteWriteFault(addr, mask)
 	}
-	ln.dirty = true
+	w := t.word(f, addr)
+	binary.LittleEndian.PutUint32(t.data[4*w:], v^mask)
+	t.parity[w] = wordParity(v)
+	if t.enc != nil {
+		t.enc[w] = v
+	}
+	t.meta[f].dirty = true
 	return nil
+}
+
+// noteWriteFault accounts a fault drawn on the write path.
+func (c *L1Data) noteWriteFault(addr simmem.Addr, mask uint32) {
+	c.Recovery.FaultsOnWrite++
+	if c.rt != nil {
+		c.rt.FaultInjection("write", bits.OnesCount32(mask), uint64(addr))
+	}
 }
 
 // Load32 implements simmem.Memory.
 func (c *L1Data) Load32(a simmem.Addr) (uint32, error) {
 	a = simmem.Align(a, 4)
-	if err := c.checkAlign("load32", a, 4); err != nil {
+	if err := c.checkAlign("load32", a); err != nil {
 		return 0, err
 	}
 	return c.readWord(a)
@@ -773,7 +772,7 @@ func (c *L1Data) Load32(a simmem.Addr) (uint32, error) {
 // Store32 implements simmem.Memory.
 func (c *L1Data) Store32(a simmem.Addr, v uint32) error {
 	a = simmem.Align(a, 4)
-	if err := c.checkAlign("store32", a, 4); err != nil {
+	if err := c.checkAlign("store32", a); err != nil {
 		return err
 	}
 	return c.writeWord(a, v)
@@ -782,7 +781,7 @@ func (c *L1Data) Store32(a simmem.Addr, v uint32) error {
 // Load16 reads a halfword via the containing word.
 func (c *L1Data) Load16(a simmem.Addr) (uint16, error) {
 	a = simmem.Align(a, 2)
-	if err := c.checkAlign("load16", a, 2); err != nil {
+	if err := c.checkAlign("load16", a); err != nil {
 		return 0, err
 	}
 	w, err := c.readWord(a &^ 3)
@@ -795,7 +794,7 @@ func (c *L1Data) Load16(a simmem.Addr) (uint16, error) {
 // Store16 writes a halfword with a read-modify-write of the word.
 func (c *L1Data) Store16(a simmem.Addr, v uint16) error {
 	a = simmem.Align(a, 2)
-	if err := c.checkAlign("store16", a, 2); err != nil {
+	if err := c.checkAlign("store16", a); err != nil {
 		return err
 	}
 	w, err := c.readWord(a &^ 3)
@@ -809,7 +808,7 @@ func (c *L1Data) Store16(a simmem.Addr, v uint16) error {
 
 // Load8 reads a byte via the containing word.
 func (c *L1Data) Load8(a simmem.Addr) (uint8, error) {
-	if err := c.checkAlign("load8", a, 1); err != nil {
+	if err := c.checkAlign("load8", a); err != nil {
 		return 0, err
 	}
 	w, err := c.readWord(a &^ 3)
@@ -821,7 +820,7 @@ func (c *L1Data) Load8(a simmem.Addr) (uint8, error) {
 
 // Store8 writes a byte with a read-modify-write of the word.
 func (c *L1Data) Store8(a simmem.Addr, v uint8) error {
-	if err := c.checkAlign("store8", a, 1); err != nil {
+	if err := c.checkAlign("store8", a); err != nil {
 		return err
 	}
 	w, err := c.readWord(a &^ 3)
@@ -837,7 +836,7 @@ func (c *L1Data) Store8(a simmem.Addr, v uint8) error {
 // corrupted pointer faults identically on both memories. Misalignment is
 // not a fault: the low address bits are ignored (ARM behaviour), handled by
 // simmem.Align at the call sites.
-func (c *L1Data) checkAlign(op string, a simmem.Addr, width int) error {
+func (c *L1Data) checkAlign(op string, a simmem.Addr) error {
 	if a < simmem.PageBase {
 		return &simmem.AccessError{Op: op, Addr: a, Reason: "address in unmapped page"}
 	}

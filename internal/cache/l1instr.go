@@ -7,11 +7,12 @@ import "clumsy/internal/simmem"
 // with no fault injection. It serves fetch requests by program counter and
 // reports miss stall cycles; the fetched bytes themselves are irrelevant to
 // the simulation (applications are host code), so the cache tracks only
-// tags.
+// tags: its table has no payload arena, and a miss fetches into one
+// scratch line.
 //
 //lint:checkpoint Snapshot, RestoreSnapshot
 type L1Instr struct {
-	tab *table
+	tab table
 	//lint:ephemeral topology wiring, immutable after construction
 	next Backend
 	//lint:ephemeral scratch buffer, dead outside a single fetch
@@ -32,7 +33,7 @@ func (c *L1Instr) chargeStall(cyc float64) { c.Cycles += cyc }
 
 // NewL1Instr builds the instruction cache over next.
 func NewL1Instr(cfg Config, next Backend) (*L1Instr, error) {
-	tab, err := newTable(cfg)
+	tab, err := newTable(cfg, false)
 	if err != nil {
 		return nil, err
 	}
@@ -44,26 +45,27 @@ func NewL1Instr(cfg Config, next Backend) (*L1Instr, error) {
 // latency.
 func (c *L1Instr) Fetch(pc simmem.Addr) error {
 	c.Stats.Reads++
-	if ln := c.tab.lookup(pc); ln != nil {
-		c.tab.touch(ln)
-		c.tab.tick++
-		ln.lru = c.tab.tick
+	if f := c.tab.lookup(pc); f >= 0 {
+		c.tab.touch(f)
+		c.tab.use(f)
 		return nil
 	}
+	return c.miss(pc)
+}
+
+// miss refills the frame for pc from the next level.
+func (c *L1Instr) miss(pc simmem.Addr) error {
 	c.Stats.ReadMisses++
-	victim := c.tab.victim(pc)
-	c.tab.touch(victim)
-	base := c.tab.lineBase(pc)
-	cyc, err := c.next.FetchLine(base, victim.data)
+	t := &c.tab
+	f := t.victim(pc)
+	t.touch(f)
+	cyc, err := c.next.FetchLine(t.lineBase(pc), c.fill)
 	if err != nil {
 		return err
 	}
 	c.chargeStall(cyc)
-	_, tag := c.tab.index(pc)
-	victim.valid = true
-	victim.tag = tag
-	c.tab.tick++
-	victim.lru = c.tab.tick
+	t.keys[f] = t.key(pc)
+	t.use(f)
 	return nil
 }
 

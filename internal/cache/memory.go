@@ -54,7 +54,7 @@ var _ Backend = (*MainMemory)(nil)
 //
 //lint:checkpoint Snapshot, RestoreSnapshot
 type L2 struct {
-	tab *table
+	tab table
 	//lint:ephemeral topology wiring, immutable after construction
 	next Backend
 	//lint:ephemeral measurement; a rollback rewinds contents, not measurements
@@ -63,66 +63,69 @@ type L2 struct {
 
 // NewL2 builds the unified L2 over the given backend.
 func NewL2(cfg Config, next Backend) (*L2, error) {
-	tab, err := newTable(cfg)
+	tab, err := newTable(cfg, true)
 	if err != nil {
 		return nil, err
 	}
 	return &L2{tab: tab, next: next}, nil
 }
 
-// ensure returns the line holding addr, filling it on a miss, together with
-// the stall cycles spent below this level.
-func (c *L2) ensure(addr simmem.Addr, isWrite bool) (*line, float64, error) {
-	if ln := c.tab.lookup(addr); ln != nil {
-		c.tab.touch(ln)
-		c.tab.tick++
-		ln.lru = c.tab.tick
-		return ln, 0, nil
+// ensure returns the frame holding addr, filling it on a miss, together
+// with the stall cycles spent below this level.
+func (c *L2) ensure(addr simmem.Addr, isWrite bool) (int, float64, error) {
+	if f := c.tab.lookup(addr); f >= 0 {
+		c.tab.touch(f)
+		c.tab.use(f)
+		return f, 0, nil
 	}
+	return c.refill(addr, isWrite)
+}
+
+// refill brings the line holding addr into its set after a miss, writing
+// the victim back first when it is dirty.
+func (c *L2) refill(addr simmem.Addr, isWrite bool) (int, float64, error) {
 	if isWrite {
 		c.Stats.WriteMisses++
 	} else {
 		c.Stats.ReadMisses++
 	}
-	victim := c.tab.victim(addr)
-	c.tab.touch(victim)
+	t := &c.tab
+	f := t.victim(addr)
+	t.touch(f)
+	line := t.line(f)
 	var cycles float64
-	if victim.valid && victim.dirty {
+	if t.keys[f] != 0 && t.meta[f].dirty {
 		c.Stats.Writebacks++
-		base := simmem.Addr(victim.tag) << c.tab.setShift
-		wb, err := c.next.StoreLine(base, victim.data)
+		wb, err := c.next.StoreLine(t.base(f), line)
 		if err != nil {
-			return nil, 0, err
+			return -1, 0, err
 		}
 		cycles += wb
 	}
-	base := c.tab.lineBase(addr)
-	fill, err := c.next.FetchLine(base, victim.data)
+	fill, err := c.next.FetchLine(t.lineBase(addr), line)
 	if err != nil {
-		return nil, 0, err
+		return -1, 0, err
 	}
 	cycles += fill
-	_, tag := c.tab.index(addr)
-	victim.valid = true
-	victim.dirty = false
-	victim.tag = tag
-	c.tab.tick++
-	victim.lru = c.tab.tick
-	return victim, cycles, nil
+	t.keys[f] = t.key(addr)
+	t.meta[f].dirty = false
+	t.use(f)
+	return f, cycles, nil
 }
 
 // FetchLine serves an upper-level fill request of len(buf) bytes.
 func (c *L2) FetchLine(addr simmem.Addr, buf []byte) (float64, error) {
 	c.Stats.Reads++
+	bs := c.tab.cfg.BlockSize
 	cycles := c.tab.cfg.Latency
-	for off := 0; off < len(buf); off += c.tab.cfg.BlockSize {
-		ln, extra, err := c.ensure(addr+simmem.Addr(off), false)
+	for off := 0; off < len(buf); off += bs {
+		a := addr + simmem.Addr(off)
+		f, extra, err := c.ensure(a, false)
 		if err != nil {
 			return 0, err
 		}
 		cycles += extra
-		lo := int(addr+simmem.Addr(off)) & (c.tab.cfg.BlockSize - 1)
-		copy(buf[off:], ln.data[lo:])
+		copy(buf[off:], c.tab.line(f)[int(a)&(bs-1):])
 	}
 	return cycles, nil
 }
@@ -130,16 +133,18 @@ func (c *L2) FetchLine(addr simmem.Addr, buf []byte) (float64, error) {
 // StoreLine absorbs an upper-level write-back.
 func (c *L2) StoreLine(addr simmem.Addr, buf []byte) (float64, error) {
 	c.Stats.Writes++
+	bs := c.tab.cfg.BlockSize
 	cycles := c.tab.cfg.Latency
-	for off := 0; off < len(buf); off += c.tab.cfg.BlockSize {
-		ln, extra, err := c.ensure(addr+simmem.Addr(off), true)
+	for off := 0; off < len(buf); off += bs {
+		a := addr + simmem.Addr(off)
+		f, extra, err := c.ensure(a, true)
 		if err != nil {
 			return 0, err
 		}
 		cycles += extra
-		lo := int(addr+simmem.Addr(off)) & (c.tab.cfg.BlockSize - 1)
-		copy(ln.data[lo:], buf[off:min(off+c.tab.cfg.BlockSize-lo, len(buf))])
-		ln.dirty = true
+		lo := int(a) & (bs - 1)
+		copy(c.tab.line(f)[lo:], buf[off:min(off+bs-lo, len(buf))])
+		c.tab.meta[f].dirty = true
 	}
 	return cycles, nil
 }
@@ -158,10 +163,3 @@ func (c *L2) FlushRange(addr simmem.Addr, n int, sink func(simmem.Addr, []byte) 
 }
 
 var _ Backend = (*L2)(nil)
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -131,3 +131,19 @@ func BenchmarkL1DStore(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkL1DLoad8Stream is md5's access shape: byte loads walking a
+// packet-sized 600 B buffer in order, so seven of every eight loads hit
+// the line the previous one touched. One op is one Load8.
+func BenchmarkL1DLoad8Stream(b *testing.B) {
+	const size = 600
+	h := benchHierarchy(b, DetectionParity, 1)
+	base := h.Space.MustAlloc(size, 32)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := h.L1D.Load8(base + simmem.Addr(i%size)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

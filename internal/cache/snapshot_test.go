@@ -3,6 +3,7 @@ package cache
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -127,13 +128,19 @@ func TestSnapshotRestoresLRUDeterminism(t *testing.T) {
 	}
 }
 
-// tableImage is a test-only deep clone of a table: every line field
-// (payload, check bits, and bookkeeping, copied by value so a field added
-// to line is compared automatically) plus the LRU clock. The undo-log
-// stamp is zeroed: it records when a frame was logged, not what it holds.
+// tableImage is a test-only deep clone of a table: every dense array
+// (keys, payload and check-bit arenas, and the frames' bookkeeping, copied
+// by value so a field added to frame is compared automatically) plus the
+// LRU clock. The undo-log stamps are zeroed: they record when a frame was
+// logged, not what it holds.
 type tableImage struct {
-	lines []line
-	tick  uint64
+	keys   []uint32
+	data   []byte
+	parity []byte
+	enc    []uint32
+	meta   []frame
+	tick   uint64
+	bs     int // block size: the payload stride, four times the check-bit stride
 }
 
 // hierarchyImage is the reference clone of every cache level plus the
@@ -144,25 +151,43 @@ type hierarchyImage struct {
 }
 
 func cloneTable(t *table) tableImage {
-	img := tableImage{tick: t.tick}
-	for s := range t.sets {
-		for w := range t.sets[s] {
-			ln := t.sets[s][w]
-			ln.data = append([]byte(nil), ln.data...)
-			ln.parity = append([]byte(nil), ln.parity...)
-			if ln.enc != nil {
-				ln.enc = append([]uint32(nil), ln.enc...)
-			}
-			ln.logged = 0
-			img.lines = append(img.lines, ln)
-		}
+	img := tableImage{keys: slices.Clone(t.keys), data: slices.Clone(t.data),
+		parity: slices.Clone(t.parity), enc: slices.Clone(t.enc),
+		meta: slices.Clone(t.meta), tick: t.tick, bs: t.cfg.BlockSize}
+	for f := range img.meta {
+		img.meta[f].logged = 0
 	}
 	return img
 }
 
 func cloneHierarchy(h *Hierarchy) hierarchyImage {
-	return hierarchyImage{l1d: cloneTable(h.L1D.tab), l1i: cloneTable(h.L1I.tab),
-		l2: cloneTable(h.L2.tab), deadLines: h.L1D.deadLines}
+	return hierarchyImage{l1d: cloneTable(&h.L1D.tab), l1i: cloneTable(&h.L1I.tab),
+		l2: cloneTable(&h.L2.tab), deadLines: h.L1D.deadLines}
+}
+
+// frameImage is one frame's slice of a table image.
+type frameImage struct {
+	key    uint32
+	data   []byte
+	parity []byte
+	enc    []uint32
+	meta   frame
+}
+
+// frame returns frame f of the image.
+func (img tableImage) frame(f int) frameImage {
+	bs := img.bs
+	fi := frameImage{key: img.keys[f], meta: img.meta[f]}
+	if img.data != nil {
+		fi.data = img.data[f*bs : (f+1)*bs]
+	}
+	if img.parity != nil {
+		fi.parity = img.parity[f*bs/4 : (f+1)*bs/4]
+	}
+	if img.enc != nil {
+		fi.enc = img.enc[f*bs/4 : (f+1)*bs/4]
+	}
+	return fi
 }
 
 // diffImages describes the first difference between two clones, or
@@ -178,9 +203,14 @@ func diffImages(got, want hierarchyImage) string {
 		if lvl.got.tick != lvl.want.tick {
 			return fmt.Sprintf("%s tick %d, want %d", lvl.name, lvl.got.tick, lvl.want.tick)
 		}
-		for i := range lvl.want.lines {
-			if !reflect.DeepEqual(lvl.got.lines[i], lvl.want.lines[i]) {
-				return fmt.Sprintf("%s frame %d:\n got  %+v\n want %+v", lvl.name, i, lvl.got.lines[i], lvl.want.lines[i])
+		if len(lvl.got.keys) != len(lvl.want.keys) || len(lvl.got.data) != len(lvl.want.data) ||
+			len(lvl.got.parity) != len(lvl.want.parity) || len(lvl.got.enc) != len(lvl.want.enc) {
+			return fmt.Sprintf("%s array sizes differ", lvl.name)
+		}
+		for f := range lvl.want.keys {
+			g, w := lvl.got.frame(f), lvl.want.frame(f)
+			if !reflect.DeepEqual(g, w) {
+				return fmt.Sprintf("%s frame %d:\n got  %+v\n want %+v", lvl.name, f, g, w)
 			}
 		}
 	}
@@ -271,8 +301,8 @@ func checkRollbackEquivalence(t *testing.T, det Detection, subBlock bool, l1d Co
 			if err = h.L1D.Store32(a, rng.Uint32()); err != nil {
 				break
 			}
-			if ln := h.L1D.tab.lookup(a); ln != nil {
-				ln.data[int(a)&(l1d.BlockSize-1)] ^= flip
+			if b := h.L1D.tab.cachedByte(a); b != nil {
+				*b ^= flip
 			}
 			_, err = h.L1D.Load32(a)
 		case r < 78:
@@ -386,13 +416,13 @@ func TestUnarmedHierarchyLogsNothing(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for _, tab := range []*table{h.L1D.tab, h.L1I.tab, h.L2.tab} {
+	for _, tab := range []*table{&h.L1D.tab, &h.L1I.tab, &h.L2.tab} {
 		if tab.log != nil {
 			t.Fatal("undo log armed without a snapshot")
 		}
 	}
 	h.Snapshot(nil)
-	for _, tab := range []*table{h.L1D.tab, h.L1I.tab, h.L2.tab} {
+	for _, tab := range []*table{&h.L1D.tab, &h.L1I.tab, &h.L2.tab} {
 		if tab.log == nil || tab.log.n != 0 {
 			t.Fatal("snapshot must arm an empty undo log on every level")
 		}

@@ -138,55 +138,62 @@ func (e *engine) totalCycles() float64 { return e.core + e.hier.StallCycles() }
 
 // dataMemory wraps the L1D so that every load and store is also accounted
 // as one instruction (and one core cycle) and checked against the watchdog.
+// It holds the L1D directly, and its methods take a pointer so that the
+// simmem.Memory interface calls them without a wrapper: a data access is
+// the hottest path of a run.
 type dataMemory struct {
 	eng *engine
+	l1d *cache.L1Data
 }
 
-func (m dataMemory) note() error {
+// newDataMemory returns the data side of e's memory system.
+func newDataMemory(e *engine) dataMemory { return dataMemory{eng: e, l1d: e.hier.L1D} }
+
+func (m *dataMemory) note() error {
 	m.eng.charge(1)
 	return m.eng.checkBudget()
 }
 
-func (m dataMemory) Load8(a simmem.Addr) (uint8, error) {
+func (m *dataMemory) Load8(a simmem.Addr) (uint8, error) {
 	if err := m.note(); err != nil {
 		return 0, err
 	}
-	return m.eng.hier.L1D.Load8(a)
+	return m.l1d.Load8(a)
 }
 
-func (m dataMemory) Store8(a simmem.Addr, v uint8) error {
+func (m *dataMemory) Store8(a simmem.Addr, v uint8) error {
 	if err := m.note(); err != nil {
 		return err
 	}
-	return m.eng.hier.L1D.Store8(a, v)
+	return m.l1d.Store8(a, v)
 }
 
-func (m dataMemory) Load16(a simmem.Addr) (uint16, error) {
+func (m *dataMemory) Load16(a simmem.Addr) (uint16, error) {
 	if err := m.note(); err != nil {
 		return 0, err
 	}
-	return m.eng.hier.L1D.Load16(a)
+	return m.l1d.Load16(a)
 }
 
-func (m dataMemory) Store16(a simmem.Addr, v uint16) error {
+func (m *dataMemory) Store16(a simmem.Addr, v uint16) error {
 	if err := m.note(); err != nil {
 		return err
 	}
-	return m.eng.hier.L1D.Store16(a, v)
+	return m.l1d.Store16(a, v)
 }
 
-func (m dataMemory) Load32(a simmem.Addr) (uint32, error) {
+func (m *dataMemory) Load32(a simmem.Addr) (uint32, error) {
 	if err := m.note(); err != nil {
 		return 0, err
 	}
-	return m.eng.hier.L1D.Load32(a)
+	return m.l1d.Load32(a)
 }
 
-func (m dataMemory) Store32(a simmem.Addr, v uint32) error {
+func (m *dataMemory) Store32(a simmem.Addr, v uint32) error {
 	if err := m.note(); err != nil {
 		return err
 	}
-	return m.eng.hier.L1D.Store32(a, v)
+	return m.l1d.Store32(a, v)
 }
 
-var _ simmem.Memory = dataMemory{}
+var _ simmem.Memory = (*dataMemory)(nil)

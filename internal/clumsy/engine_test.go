@@ -106,7 +106,7 @@ func TestEngineUnlimitedBudget(t *testing.T) {
 
 func TestDataMemoryCountsInstructions(t *testing.T) {
 	eng, h := newTestEngine(t)
-	mem := dataMemory{eng}
+	mem := newDataMemory(eng)
 	a := h.Space.MustAlloc(64, 4)
 	if err := mem.Store32(a, 7); err != nil {
 		t.Fatal(err)
@@ -138,7 +138,7 @@ func TestDataMemoryCountsInstructions(t *testing.T) {
 
 func TestDataMemoryWatchdog(t *testing.T) {
 	eng, h := newTestEngine(t)
-	mem := dataMemory{eng}
+	mem := newDataMemory(eng)
 	a := h.Space.MustAlloc(64, 4)
 	eng.budget = 2
 	eng.beginPacket()
@@ -151,7 +151,7 @@ func TestDataMemoryWatchdog(t *testing.T) {
 
 func TestTotalCyclesIncludesStalls(t *testing.T) {
 	eng, h := newTestEngine(t)
-	mem := dataMemory{eng}
+	mem := newDataMemory(eng)
 	a := h.Space.MustAlloc(64, 4)
 	if _, err := mem.Load32(a); err != nil { // cold miss: L2 + memory stalls
 		t.Fatal(err)

@@ -47,6 +47,7 @@ type machine struct {
 	rec     *metrics.Recorder
 	h       *cache.Hierarchy
 	eng     *engine
+	mem     dataMemory // ctx.Mem; held here so the interface points into the machine
 	proc    fault.Process
 	burst   *fault.Burst   // the burst regime's process, else nil
 	stuck   *fault.StuckAt // the permanent regime's process, else nil
@@ -167,7 +168,8 @@ func newMachine(cfg Config, trace *packet.Trace, inj *injection, budget uint64, 
 	}
 	m.scratch, _ = m.app.(apps.ScratchResetter)
 	m.rec = metrics.NewRecorder()
-	m.ctx = &apps.Context{Space: space, Mem: dataMemory{m.eng}, Rec: m.rec, Exec: m.eng}
+	m.mem = newDataMemory(m.eng)
+	m.ctx = &apps.Context{Space: space, Mem: &m.mem, Rec: m.rec, Exec: m.eng}
 	m.out = &onceResult{rec: m.rec}
 
 	// Control plane.

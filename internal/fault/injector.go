@@ -75,15 +75,11 @@ func (in *Injector) redraw() {
 }
 
 // NextAt advances the fault process by one access and returns the fault
-// mask. The paper's process is address-blind; NextAt exists to satisfy
-// the Process interface.
-func (in *Injector) NextAt(addr uint64) uint64 { return in.Next() }
-
-// Next advances the fault process by one access and returns the fault mask
-// to XOR into the accessed word: zero for the overwhelming majority of
-// accesses, or a mask with one, two, or three set bits on a fault event
-// (with the correlated probabilities of the model).
-func (in *Injector) Next() uint64 {
+// mask to XOR into the accessed word: zero for the overwhelming majority
+// of accesses, or a mask with one, two, or three set bits on a fault event
+// (with the correlated probabilities of the model). The paper's process is
+// address-blind; the address is there to satisfy the Process interface.
+func (in *Injector) NextAt(uint64) uint64 {
 	if !in.enabled {
 		return 0
 	}
@@ -92,6 +88,16 @@ func (in *Injector) Next() uint64 {
 		in.skip--
 		return 0
 	}
+	return in.event()
+}
+
+// Next is NextAt for callers without an address.
+func (in *Injector) Next() uint64 { return in.NextAt(0) }
+
+// event draws the fault that ends a gap and the gap to the next one. It
+// stays out of NextAt so that the fault-free access, nearly every access,
+// returns without a further call.
+func (in *Injector) event() uint64 {
 	in.redraw()
 	in.Events++
 	mask, n := drawMask(in.rng, in.bits)

@@ -208,13 +208,9 @@ func (b *Burst) toggle() {
 	}
 }
 
-// NextAt advances the process by one access and returns the fault mask.
-// The burst process is address-blind.
-func (b *Burst) NextAt(addr uint64) uint64 { return b.Next() }
-
-// Next advances the fault process by one access and returns the fault
-// mask to XOR into the accessed word.
-func (b *Burst) Next() uint64 {
+// NextAt advances the fault process by one access and returns the fault
+// mask to XOR into the accessed word. The burst process is address-blind.
+func (b *Burst) NextAt(uint64) uint64 {
 	if !b.enabled {
 		return 0
 	}
@@ -233,6 +229,9 @@ func (b *Burst) Next() uint64 {
 	b.BitFlips += uint64(n)
 	return mask
 }
+
+// Next is NextAt for callers without an address.
+func (b *Burst) Next() uint64 { return b.NextAt(0) }
 
 // ResetCounters clears the access and fault counters. Episodes is
 // cumulative and survives resets.
