@@ -107,16 +107,16 @@ func TestRegisterDuplicatePanics(t *testing.T) {
 func TestAllAppsProduceObservations(t *testing.T) {
 	for _, name := range Names() {
 		rec := runApp(t, name, 25)
-		if len(rec.Packets) != 25 {
-			t.Errorf("%s recorded %d packets", name, len(rec.Packets))
+		if rec.Packets() != 25 {
+			t.Errorf("%s recorded %d packets", name, rec.Packets())
 		}
-		for i, p := range rec.Packets {
-			if len(p.Obs) == 0 {
+		for i := range rec.Packets() {
+			if len(rec.Packet(i)) == 0 {
 				t.Errorf("%s packet %d has no observations", name, i)
 				break
 			}
 		}
-		if len(rec.Init) == 0 {
+		if len(rec.Init()) == 0 {
 			t.Errorf("%s has no control-plane observations", name)
 		}
 	}
@@ -139,7 +139,7 @@ func TestCRCMatchesStdlib(t *testing.T) {
 		ctx.Rec.EndPacket()
 		h := p.Header()
 		want := crc32.ChecksumIEEE(append(h[:], p.Payload...))
-		obs := ctx.Rec.Packets[i].Obs
+		obs := ctx.Rec.Packet(i)
 		got := obs[len(obs)-1]
 		if got.Name != "crc-accumulator" || uint32(got.Value) != want {
 			t.Fatalf("packet %d crc = %#x (%s), want %#x", i, got.Value, got.Name, want)
@@ -164,7 +164,7 @@ func TestMD5MatchesStdlib(t *testing.T) {
 		ctx.Rec.EndPacket()
 		h := p.Header()
 		want := md5Reference(append(h[:], p.Payload...))
-		obs := ctx.Rec.Packets[i].Obs
+		obs := ctx.Rec.Packet(i)
 		if len(obs) < 4 {
 			t.Fatalf("packet %d: %d observations", i, len(obs))
 		}
@@ -192,7 +192,7 @@ func TestRouteChecksumAndTTL(t *testing.T) {
 			t.Fatal(err)
 		}
 		ctx.Rec.EndPacket()
-		obs := ctx.Rec.Packets[i].Obs
+		obs := ctx.Rec.Packet(i)
 		if obs[0].Name != "checksum" || obs[0].Value != 0xffff {
 			t.Fatalf("packet %d: incoming checksum observation %v, want folded 0xffff", i, obs[0])
 		}
@@ -223,8 +223,8 @@ func TestRouteChecksumAndTTL(t *testing.T) {
 func TestRouteFindsRoutes(t *testing.T) {
 	rec := runApp(t, "route", 60)
 	misses := 0
-	for _, p := range rec.Packets {
-		for _, o := range p.Obs {
+	for i := range rec.Packets() {
+		for _, o := range rec.Packet(i) {
 			if o.Name == "route-entry" && o.Value == 0 {
 				misses++
 			}
@@ -239,10 +239,10 @@ func TestRouteFindsRoutes(t *testing.T) {
 
 func TestNATTranslates(t *testing.T) {
 	rec := runApp(t, "nat", 50)
-	for i, p := range rec.Packets {
+	for i := range rec.Packets() {
 		var init, trans uint64
 		ok := false
-		for _, o := range p.Obs {
+		for _, o := range rec.Packet(i) {
 			switch o.Name {
 			case "initial-src":
 				init = o.Value
@@ -271,8 +271,8 @@ func TestDRRConservesPackets(t *testing.T) {
 	// deficit observations must be internally consistent (non-negative,
 	// bounded by quantum + max packet size).
 	rec := runApp(t, "drr", 200)
-	for i, p := range rec.Packets {
-		for _, o := range p.Obs {
+	for i := range rec.Packets() {
+		for _, o := range rec.Packet(i) {
 			if o.Name == "deficit-value" && o.Value > 4096 {
 				t.Fatalf("packet %d: runaway deficit %d", i, o.Value)
 			}
@@ -283,8 +283,8 @@ func TestDRRConservesPackets(t *testing.T) {
 func TestURLMatchesAndRewrites(t *testing.T) {
 	rec := runApp(t, "url", 40)
 	matched := 0
-	for i, p := range rec.Packets {
-		for _, o := range p.Obs {
+	for i := range rec.Packets() {
+		for _, o := range rec.Packet(i) {
 			if o.Name == "url-entry" {
 				if int32(o.Value) >= 0 {
 					matched++
@@ -304,9 +304,9 @@ func TestURLMatchesAndRewrites(t *testing.T) {
 
 func TestTLWalksTable(t *testing.T) {
 	rec := runApp(t, "tl", 60)
-	for i, p := range rec.Packets {
+	for i := range rec.Packets() {
 		var steps uint64
-		for _, o := range p.Obs {
+		for _, o := range rec.Packet(i) {
 			if o.Name == "radix-walk" {
 				steps = o.Value >> 8
 			}
@@ -336,11 +336,11 @@ func TestDeterministicObservations(t *testing.T) {
 	for _, name := range []string{"route", "nat", "url"} {
 		a := runApp(t, name, 20)
 		b := runApp(t, name, 20)
-		if len(a.Packets) != len(b.Packets) {
+		if a.Packets() != b.Packets() {
 			t.Fatalf("%s: packet counts differ", name)
 		}
-		for i := range a.Packets {
-			ao, bo := a.Packets[i].Obs, b.Packets[i].Obs
+		for i := range a.Packets() {
+			ao, bo := a.Packet(i), b.Packet(i)
 			if len(ao) != len(bo) {
 				t.Fatalf("%s packet %d: observation counts differ", name, i)
 			}

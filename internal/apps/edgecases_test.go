@@ -31,7 +31,7 @@ func process(t *testing.T, app App, ctx *Context, p *packet.Packet) []metrics.Ob
 		t.Fatal(err)
 	}
 	ctx.Rec.EndPacket()
-	return ctx.Rec.Packets[len(ctx.Rec.Packets)-1].Obs
+	return ctx.Rec.Packet(ctx.Rec.Packets() - 1)
 }
 
 func obsValue(t *testing.T, obs []metrics.Observation, name string) (uint64, bool) {
@@ -127,8 +127,8 @@ func TestDRRRingOverflowDrops(t *testing.T) {
 		ctx.Rec.EndPacket()
 	}
 	// All observations must be well-formed; no runaway deficit.
-	for i, rec := range ctx.Rec.Packets {
-		if v, ok := obsValue(t, rec.Obs, "deficit-value"); ok && v > 1<<20 {
+	for i := range ctx.Rec.Packets() {
+		if v, ok := obsValue(t, ctx.Rec.Packet(i), "deficit-value"); ok && v > 1<<20 {
 			t.Fatalf("packet %d: deficit %d exploded", i, v)
 		}
 	}
@@ -274,8 +274,8 @@ func TestADPCMRunsOnClumsyProcessor(t *testing.T) {
 	// The extension workload must run end-to-end through the processor
 	// harness like the paper's seven.
 	rec := runApp(t, "adpcm", 30)
-	if len(rec.Packets) != 30 {
-		t.Fatalf("processed %d packets", len(rec.Packets))
+	if rec.Packets() != 30 {
+		t.Fatalf("processed %d packets", rec.Packets())
 	}
 }
 

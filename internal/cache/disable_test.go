@@ -173,6 +173,46 @@ func TestForceDisableFractionAndPinning(t *testing.T) {
 	}
 }
 
+// TestForceDisableSpreadsOverWays: on a 4-way L1D, pinning 30% of the
+// frames takes way 0 of every set and way 1 of a fifth of them, so no set
+// is wholly dead and every access still finds a live way.
+func TestForceDisableSpreadsOverWays(t *testing.T) {
+	l1d := DefaultL1D
+	l1d.Assoc = 4
+	inj := fault.NewInjector(fault.NewModel(1), fault.NewRNG(1), 32)
+	inj.SetEnabled(false)
+	h, err := NewHierarchyWith(simmem.NewSpace(1<<20), inj, DetectionParity, 1, HierarchyConfig{L1D: l1d})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.L1D.ForceDisable(0.3)
+	tab := &h.L1D.tab
+	frames := len(tab.keys)
+	if want := (3*frames + 9) / 10; h.L1D.DisabledLines() != want {
+		t.Fatalf("DisabledLines = %d, want %d of %d", h.L1D.DisabledLines(), want, frames)
+	}
+	for s := 0; s < frames/4; s++ {
+		dead := 0
+		for w := range 4 {
+			if tab.meta[s*4+w].dead {
+				dead++
+			}
+		}
+		if dead < 1 || dead > 2 {
+			t.Fatalf("set %d has %d of 4 ways dead; 30%% must spread as 1 or 2 per set", s, dead)
+		}
+	}
+	a := h.Space.MustAlloc(8192, 4)
+	for off := simmem.Addr(0); off < 8192; off += 4 {
+		if err := h.L1D.Store32(a+off, uint32(off)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if h.L1D.Recovery.Bypasses != 0 {
+		t.Fatalf("%d accesses bypassed; no set should be wholly dead", h.L1D.Recovery.Bypasses)
+	}
+}
+
 func TestForceDisableAllBypassesEverything(t *testing.T) {
 	h := newParityHierarchy(t)
 	h.L1D.ForceDisable(1)

@@ -212,17 +212,23 @@ func (c *L1Data) SetLineDisable(strikes int, window uint64) {
 	c.disableWindow = window
 }
 
-// ForceDisable pins the first ceil(frac * lines) frames dead — the
-// experiment control behind the graceful-degradation curve. Pinned frames
-// are not re-enabled by frequency drops and do not count as disable
-// events; they model capacity lost before the run started.
+// ForceDisable pins ceil(frac * lines) frames dead — the experiment
+// control behind the graceful-degradation curve. Frames are taken way
+// major: way 0 of every set, then way 1, and so on, so the lost capacity
+// spreads over the sets and a set dies whole only once frac exceeds
+// (assoc-1)/assoc; on the direct-mapped L1D that is simply the first
+// frames. Pinned frames are not re-enabled by frequency drops and do not
+// count as disable events; they model capacity lost before the run
+// started.
 func (c *L1Data) ForceDisable(frac float64) {
 	if frac <= 0 {
 		return
 	}
 	t := &c.tab
 	n := min(int(frac*float64(len(t.keys))+0.999999), len(t.keys))
-	for f := range n {
+	sets := len(t.keys) / t.assoc
+	for k := range n {
+		f := k%sets*t.assoc + k/sets
 		if m := &t.meta[f]; !m.dead {
 			t.touch(f)
 			m.dead = true

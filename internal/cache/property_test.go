@@ -17,16 +17,17 @@ import (
 //
 // The L1D runs at every geometry the flat line table must get right: the
 // direct-mapped default and 2- and 4-way sets (the way stride), each with
-// no dead frames and with ForceDisable pinning 30% of them dead. That
-// fraction kills whole sets, whose accesses bypass to the L2, and, on the
-// associative geometries, part of one set, which keeps serving from its
-// live ways.
+// no dead frames and with ForceDisable pinning 30% and 80% of them dead.
+// ForceDisable takes frames way-major, so 30% kills whole sets only on
+// the direct-mapped geometry; on the associative ones it leaves every set
+// serving from its live ways. 80% also kills every way of some sets on
+// all three, whose accesses bypass to the L2.
 func TestHierarchyMatchesReferenceMemory(t *testing.T) {
 	for _, det := range []Detection{DetectionNone, DetectionParity, DetectionECC} {
 		t.Run(det.String(), func(t *testing.T) {
 			t.Parallel()
 			for _, assoc := range []int{1, 2, 4} {
-				for _, dead := range []float64{0, 0.3} {
+				for _, dead := range []float64{0, 0.3, 0.8} {
 					l1d := DefaultL1D
 					l1d.Assoc = assoc
 					t.Run(fmt.Sprintf("assoc=%d/dead=%g", assoc, dead), func(t *testing.T) {
@@ -121,7 +122,8 @@ func checkAgainstReference(t *testing.T, det Detection, l1d Config, dead float64
 			t.Fatalf("final state differs at offset %d: %#x vs %#x", off, l2buf[off], want)
 		}
 	}
-	if dead > 0 && h.L1D.Recovery.Bypasses == 0 {
+	// A set dies whole once the dead fraction exceeds (assoc-1)/assoc.
+	if wholeSetsDead := dead*float64(l1d.Assoc) > float64(l1d.Assoc-1); wholeSetsDead && h.L1D.Recovery.Bypasses == 0 {
 		t.Fatal("vacuous run: no access bypassed a dead set")
 	}
 }

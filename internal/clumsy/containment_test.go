@@ -200,8 +200,8 @@ func TestRestoreGoldenEquivalence(t *testing.T) {
 			if rep.InitMismatch {
 				t.Fatal("control-plane observations diverged (setup ran before the scribble)")
 			}
-			if rep.Processed != len(ref.Packets) || rep.Fatal {
-				t.Fatalf("restored run attempted %d of %d packets", rep.Processed, len(ref.Packets))
+			if rep.Processed != ref.Packets() || rep.Fatal {
+				t.Fatalf("restored run attempted %d of %d packets", rep.Processed, ref.Packets())
 			}
 			if rep.PacketsWith != 0 {
 				t.Fatalf("restored state diverged on %d of %d packets: %+v",

@@ -44,7 +44,7 @@ type machine struct {
 	app     apps.App
 	scratch apps.ScratchResetter // app, when it keeps host-side scratch
 	ctx     *apps.Context
-	rec     *metrics.Recorder
+	rec     *metrics.Recorder // golden: records; faulty: checks against the golden stream, or nil
 	h       *cache.Hierarchy
 	eng     *engine
 	mem     dataMemory // ctx.Mem; held here so the interface points into the machine
@@ -76,7 +76,9 @@ type machine struct {
 }
 
 // newMachine builds the processor for cfg over trace and runs its control
-// plane. inj nil builds the golden (fault-free, full-swing) machine; budget
+// plane. inj nil builds the golden (fault-free, full-swing) machine, which
+// records its observations; a faulty machine checks its observations
+// against inj.golden as it makes them, or records nothing; budget
 // is the per-packet watchdog instruction limit (0 = unlimited); tel, when
 // non-nil, receives the machine's counters and trace events. A fatal error
 // during Setup is an outcome, not an error: the returned machine is dead
@@ -167,7 +169,12 @@ func newMachine(cfg Config, trace *packet.Trace, inj *injection, budget uint64, 
 		return nil, err
 	}
 	m.scratch, _ = m.app.(apps.ScratchResetter)
-	m.rec = metrics.NewRecorder()
+	switch {
+	case !m.faulty:
+		m.rec = metrics.NewRecorder()
+	case inj.golden != nil:
+		m.rec = metrics.NewChecker(inj.golden)
+	}
 	m.mem = newDataMemory(m.eng)
 	m.ctx = &apps.Context{Space: space, Mem: &m.mem, Rec: m.rec, Exec: m.eng}
 	m.out = &onceResult{rec: m.rec}

@@ -427,12 +427,12 @@ func RunWithTrace(cfg Config, trace *packet.Trace) (*Result, error) {
 	return runFaulty(cfg, trace, golden)
 }
 
-// runFaulty executes the clumsy run over the trace and compares it with
-// the golden pass, which it only reads: one golden outcome may serve many
-// concurrent faulty runs.
+// runFaulty executes the clumsy run over the trace, checking each of its
+// observations against the golden pass's stream as it is made. It only
+// reads the golden outcome: one may serve many concurrent faulty runs.
 func runFaulty(cfg Config, trace *packet.Trace, golden *onceResult) (*Result, error) {
 	budget := uint64(cfg.WatchdogFactor * float64(golden.maxPacketInstrs))
-	m, err := newMachine(cfg, trace, &injection{scale: cfg.FaultScale, planes: cfg.Planes}, budget, placeFresh, cfg.Telemetry)
+	m, err := newMachine(cfg, trace, &injection{scale: cfg.FaultScale, planes: cfg.Planes, golden: golden.rec}, budget, placeFresh, cfg.Telemetry)
 	if err != nil {
 		return nil, fmt.Errorf("clumsy: faulty run failed: %w", err)
 	}
@@ -447,7 +447,7 @@ func runFaulty(cfg Config, trace *packet.Trace, golden *onceResult) (*Result, er
 	res.GoldenDelay = golden.Delay
 	res.GoldenEnergy = golden.Energy
 	res.GoldenL1DStats = golden.L1DStats
-	res.Report = metrics.Compare(golden.rec, faulty.rec)
+	res.Report = faulty.rec.Report()
 	if res.FatalErr != nil && res.Report.Processed == 0 {
 		// A run that died before completing a single packet has no
 		// meaningful per-packet delay; charge the golden delay and let the
@@ -462,6 +462,7 @@ func runFaulty(cfg Config, trace *packet.Trace, golden *onceResult) (*Result, er
 type injection struct {
 	scale  float64
 	planes Planes
+	golden *metrics.Recorder // the stream the run's observations are checked against; nil checks nothing
 }
 
 // onceResult is the outcome of one machine's run: the measured fields of
@@ -470,8 +471,8 @@ type injection struct {
 type onceResult struct {
 	Result
 
-	rec             *metrics.Recorder
-	maxPacketInstrs uint64 // the worst completed packet, for the watchdog budget
+	rec             *metrics.Recorder // the golden stream, or the faulty pass's checker
+	maxPacketInstrs uint64            // the worst completed packet, for the watchdog budget
 	// drops counts packet_drop events (one per fatal error, whether
 	// aborted or contained); watchdogKills counts watchdog trips among
 	// them.

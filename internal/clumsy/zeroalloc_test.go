@@ -7,7 +7,6 @@ import (
 
 	"clumsy/internal/apps"
 	"clumsy/internal/cache"
-	"clumsy/internal/metrics"
 	"clumsy/internal/packet"
 	"clumsy/internal/simmem"
 )
@@ -23,7 +22,10 @@ import (
 // (recovery stalls included). A positive factor arms it at that multiple
 // of the golden pass's worst packet, runFaulty's budget rule, so at a
 // fault scale where packets die a contained drop pays its restore rather
-// than an unbounded spin. The 64-packet trace is served cyclically.
+// than an unbounded spin. The 64-packet trace is served cyclically. The
+// machine has no golden stream, so it records nothing: the checker a
+// faulty run makes instead allocates nothing per observation or packet
+// (metrics.TestCheckerAllocatesNothing).
 func allocMachine(t *testing.T, appName string, policy RecoveryPolicy, regime FaultRegime, scale, watchdogFactor float64) (*machine, *packet.Trace) {
 	t.Helper()
 	app, err := apps.New(appName)
@@ -96,7 +98,6 @@ func residentPages(m *machine) int {
 type window struct {
 	mallocs uint64 // heap allocations the stretch made
 	pages   uint64 // space and shadow pages it materialised
-	replay  uint64 // allocations of recording its observations afresh
 	drops   int    // packets contained inside it
 }
 
@@ -104,19 +105,14 @@ type window struct {
 // their heap allocations. Simulated memory is paged in lazily, so the
 // machine's only allocations are the space pages it writes for the first
 // time (a DMA buffer reaching a fresh page, a write-back into one) and the
-// shadow pages Commit adds for them. The recorder's allocations —
-// EndPacket starts a fresh observation slice per packet — are counted by
-// replaying the window's records into a recorder whose log starts at the
-// same length and capacity.
+// shadow pages Commit adds for them.
 func (c *cursor) measure(t *testing.T, n int) window {
 	t.Helper()
 	m := c.m
-	n0, c0 := len(m.rec.Packets), cap(m.rec.Packets)
 	contained, pages := m.out.Contained, residentPages(m)
 	return window{
 		mallocs: mallocs(func() { c.steps(t, n) }),
 		pages:   uint64(residentPages(m) - pages),
-		replay:  replayAllocs(m.rec.Packets[n0:], n0, c0),
 		drops:   m.out.Contained - contained,
 	}
 }
@@ -137,36 +133,16 @@ func mallocs(f func()) uint64 {
 	return after.Mallocs - before.Mallocs
 }
 
-// replayAllocs counts the heap allocations of recording recs into a fresh
-// recorder whose packet log starts at length n and capacity c.
-func replayAllocs(recs []metrics.PacketRecord, n, c int) uint64 {
-	r := metrics.NewRecorder()
-	r.BeginPackets()
-	r.Packets = make([]metrics.PacketRecord, n, c)
-	return mallocs(func() {
-		for _, p := range recs {
-			if p.Dropped {
-				r.DropPacket()
-				continue
-			}
-			for _, o := range p.Obs {
-				r.Observe(o.Name, o.Value)
-			}
-			r.EndPacket()
-		}
-	})
-}
-
 // checkAttributed fails unless every allocation of a drop-free window is a
-// page materialisation or the observation log's.
+// page materialisation.
 func checkAttributed(t *testing.T, w window, n int) {
 	t.Helper()
 	if w.drops != 0 {
-		t.Fatalf("the window contained %d drops, whose partial observations cannot be replayed", w.drops)
+		t.Fatalf("the window contained %d drops; the pin is for drop-free windows", w.drops)
 	}
-	if w.mallocs != w.pages+w.replay {
-		t.Errorf("%d packets made %d heap allocations; %d page materialisations and %d of the observation log account for %d",
-			n, w.mallocs, w.pages, w.replay, w.pages+w.replay)
+	if w.mallocs != w.pages {
+		t.Errorf("%d packets made %d heap allocations; %d page materialisations account for them",
+			n, w.mallocs, w.pages)
 	}
 }
 
@@ -196,8 +172,8 @@ var (
 // and fault regime, for a table lookup (route), hashing (md5), pattern
 // matching (url) and the stateful apps with the integrity guard and
 // periodic scrub armed (fw, flowtrack): every allocation of a measured
-// window is a page materialisation or the recorder's. The count is exact,
-// so a single stray allocation in the step fails here.
+// window is a page materialisation. The count is exact, so a single stray
+// allocation in the step fails here.
 func TestSteadyStatePacketLoopZeroAlloc(t *testing.T) {
 	for _, appName := range []string{"route", "md5", "url", "fw", "flowtrack"} {
 		stateful := appName == "fw" || appName == "flowtrack"
@@ -241,11 +217,9 @@ func TestSteadyStatePacketLoopZeroAlloc(t *testing.T) {
 // with the watchdog at 10x, like the restore-heavy run of the benchmark's
 // run-contain workload, but at FaultScale 1000 so that packets of the
 // short trace die and are contained inside the measured 800-packet
-// window, interleaving commits with restores of the space and the caches. A
-// dropped packet's partial observations are discarded, so they cannot be
-// replayed; the window therefore drives step's halves itself and measures
-// contain, the second half of every dropped packet, on its own, where the
-// recorder's drop marker is the only allocation allowed.
+// window, interleaving commits with restores of the space and the caches.
+// The window drives step's halves itself and measures contain, the second
+// half of every dropped packet, on its own: it allocates nothing.
 func TestContainedPacketLoopZeroAlloc(t *testing.T) {
 	m, tr := allocMachine(t, "drr", RecoverDegrade, RegimeBurst, 1000, 10)
 	c := &cursor{m: m, tr: tr}
@@ -264,14 +238,13 @@ func TestContainedPacketLoopZeroAlloc(t *testing.T) {
 			}
 			continue
 		}
-		n0, c0 := len(m.rec.Packets), cap(m.rec.Packets)
 		got := mallocs(func() { err = m.contain(i, fatal) })
 		if err != nil || m.dead {
 			t.Fatalf("packet %d: err %v, fatal %v", i, err, m.out.FatalErr)
 		}
 		drops++
-		if want := replayAllocs(m.rec.Packets[n0:], n0, c0); got != want {
-			t.Errorf("containing packet %d (%v) made %d heap allocations; the recorder's drop marker accounts for %d", i, fatal, got, want)
+		if got != 0 {
+			t.Errorf("containing packet %d (%v) made %d heap allocations, want 0", i, fatal, got)
 		}
 	}
 	// Self-check: the measured window must contain rollbacks, or a clean
@@ -311,31 +284,30 @@ func TestPacketLoopAllocsArePageMaterialisations(t *testing.T) {
 	c.steps(t, 200)
 	w := c.measure(t, 100)
 	checkAttributed(t, w, 100)
-	// Self-check: the window must page memory in and record observations,
-	// or equality proves only that nothing happened.
-	if w.pages == 0 || w.replay == 0 {
-		t.Fatalf("the window materialised %d pages and the log %d allocations; the accounting is vacuous", w.pages, w.replay)
+	// Self-check: the window must page memory in, or equality proves only
+	// that nothing happened.
+	if w.pages == 0 {
+		t.Fatal("the window materialised no pages; the accounting is vacuous")
 	}
 }
 
 // runAllocCeilings bounds the heap allocations of one whole Run per
 // packet, indexed [policy][regime] in allocPolicies/allocRegimes order.
 // Each ceiling is the larger of the plain and -race readings plus 4%,
-// rounded up to 0.1 (Go 1.24, linux/amd64): a run's count jitters by a few
-// allocations (url's by up to about a hundred under -race), while six more
-// per packet breach every cell.
+// rounded up to 0.1 (Go 1.24, linux/amd64): a run's count jitters by at
+// most a few allocations, while one more per packet breaches every cell.
 var runAllocCeilings = []struct {
 	app      string
 	ceilings [3][3]float64
 }{
-	{"route", [3][3]float64{{50.8, 50.8, 50.8}, {50.9, 50.9, 51.0}, {50.9, 50.9, 51.0}}},
-	{"md5", [3][3]float64{{50.7, 50.7, 50.7}, {50.9, 50.9, 51.0}, {51.0, 50.9, 51.0}}},
-	{"url", [3][3]float64{{61.3, 61.2, 60.8}, {61.4, 61.5, 61.3}, {61.6, 62.0, 61.7}}},
-	{"fw", [3][3]float64{{48.8, 48.8, 48.5}, {48.9, 48.9, 48.7}, {48.9, 48.9, 49.0}}},
+	{"route", [3][3]float64{{1.0, 1.0, 1.0}, {1.1, 1.1, 1.2}, {1.1, 1.1, 1.2}}},
+	{"md5", [3][3]float64{{1.0, 1.0, 1.0}, {1.2, 1.2, 1.2}, {1.2, 1.2, 1.2}}},
+	{"url", [3][3]float64{{1.5, 1.5, 1.5}, {1.9, 1.9, 1.9}, {1.9, 1.9, 1.9}}},
+	{"fw", [3][3]float64{{1.1, 1.1, 1.1}, {1.2, 1.2, 1.3}, {1.2, 1.2, 1.3}}},
 }
 
 // TestRunAllocCeilings bounds what the exact step pins leave open — trace
-// generation, setup, the golden pass, Compare and the result — by counting
+// generation, setup, the golden pass, the checker and the result — by counting
 // every heap allocation of one whole seeded Run after a warm-up Run.
 func TestRunAllocCeilings(t *testing.T) {
 	for _, c := range runAllocCeilings {

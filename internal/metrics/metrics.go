@@ -7,6 +7,16 @@
 // (executions that cannot complete) are tracked separately, and the
 // energy–delay^m–fallibility^n product combines energy, per-packet delay,
 // and error probability into a single figure of merit.
+//
+// The golden execution records its observations as a compact stream: each
+// is a one-byte id into the recorder's interned structure names plus its
+// value, in flat arrays with one end offset per packet. The faulty
+// execution does not record: a checker (NewChecker) compares each
+// observation with the golden one at its cursor as the application makes
+// it, stages the packet's tallies until EndPacket (a contained drop
+// discards them) and folds the Report on the way, so its memory does not
+// grow with the trace. Compare, over two recorded streams, is the
+// reference the streaming check is tested against.
 package metrics
 
 import (
@@ -17,28 +27,37 @@ import (
 
 // Observation is one named data-structure value recorded during execution,
 // e.g. the checksum of the packet being routed or a traversed radix-tree
-// node.
+// node. It is a read view of a recorded stream (Recorder.Init,
+// Recorder.Packet); the stream itself stores a name id and a value.
 type Observation struct {
 	Name  string
 	Value uint64
 }
 
-// PacketRecord holds the observations made while processing one packet. A
-// record with Dropped set marks a packet the fault-containment machinery
-// discarded mid-processing: it occupies its slot in the sequence (so later
-// packets still line up with the golden run) but carries no observations.
-type PacketRecord struct {
-	Obs     []Observation
-	Dropped bool
-}
-
-// Recorder collects observations for a whole run: the control-plane
-// (initialisation) observations followed by one record per packet.
+// A Recorder is an application's observation sink. How it treats an
+// observation is fixed when it is made:
+//
+//   - NewRecorder records the stream: each observation is a one-byte id
+//     into the recorder's interned structure names plus its value, in
+//     flat arrays with per-packet end offsets. The golden pass records.
+//   - NewChecker checks each observation against a recorded golden
+//     stream as the application makes it and folds the Report on the
+//     way; it stores no observations. The faulty pass checks.
+//   - A nil *Recorder records nothing: a machine with no golden stream
+//     to check against (a serving node) has no use for its observations.
 type Recorder struct {
-	Init    []Observation
-	Packets []PacketRecord
-	current PacketRecord
+	// The recorded stream. Observation k is (names[ids[k]], vals[k]).
+	// The control plane's observations are [0, initEnd); packet p's end
+	// at ends[p] and start where packet p-1's end (initEnd for p = 0).
+	names   []string
+	ids     []uint8
+	vals    []uint64
+	initEnd int
+	ends    []uint32
+	dropped []uint32 // packets discarded by DropPacket, ascending
 	inInit  bool
+
+	chk check // the streaming check; chk.golden is nil when recording
 }
 
 // NewRecorder returns a recorder in the control-plane phase: observations
@@ -47,35 +66,283 @@ func NewRecorder() *Recorder {
 	return &Recorder{inInit: true}
 }
 
-// Observe records a named value in the current phase.
+// NewChecker returns a recorder, in the control-plane phase, that checks
+// every observation against golden, a stream recorded by NewRecorder that
+// it only reads: one golden stream may serve many concurrent checkers.
+// Its Report equals Compare of golden and a recording of the same calls.
+func NewChecker(golden *Recorder) *Recorder {
+	return &Recorder{inInit: true, chk: check{
+		golden: golden,
+		stage:  make([]StructCount, len(golden.names)),
+		tally:  make([]StructCount, len(golden.names)),
+		want:   -1,
+	}}
+}
+
+// Observe records, or checks, a named value in the current phase.
 func (r *Recorder) Observe(name string, v uint64) {
-	if r.inInit {
-		r.Init = append(r.Init, Observation{name, v})
-		return
+	switch {
+	case r == nil:
+	case r.chk.golden != nil:
+		if r.inInit {
+			r.chk.observeInit(name, v)
+		} else {
+			r.chk.observe(name, v)
+		}
+	default:
+		r.ids = append(r.ids, r.intern(name))
+		r.vals = append(r.vals, v)
 	}
-	r.current.Obs = append(r.current.Obs, Observation{name, v})
+}
+
+// intern returns the id of a structure name, adding it on first use. An
+// application observes a handful of structures, so a scan beats a map.
+func (r *Recorder) intern(name string) uint8 {
+	for id, n := range r.names {
+		if n == name {
+			return uint8(id)
+		}
+	}
+	if len(r.names) > math.MaxUint8 {
+		panic(fmt.Sprintf("metrics: more than %d structure names", math.MaxUint8+1))
+	}
+	r.names = append(r.names, name)
+	return uint8(len(r.names) - 1)
 }
 
 // BeginPackets ends the control-plane phase.
-func (r *Recorder) BeginPackets() { r.inInit = false }
+func (r *Recorder) BeginPackets() {
+	if r == nil || !r.inInit {
+		return
+	}
+	r.inInit = false
+	if r.chk.golden != nil {
+		r.chk.seek(0)
+		return
+	}
+	r.initEnd = len(r.ids)
+}
 
 // EndPacket finalises the current packet's observations.
 func (r *Recorder) EndPacket() {
-	r.Packets = append(r.Packets, r.current)
-	r.current = PacketRecord{}
+	switch {
+	case r == nil:
+	case r.chk.golden != nil:
+		r.chk.endPacket()
+	default:
+		r.ends = append(r.ends, uint32(len(r.ids)))
+	}
 }
 
 // DropPacket records the current packet as dropped by fault containment:
 // its partial observations are discarded (the packet never completed, so
-// they are not comparable) and a dropped marker keeps the sequence aligned
-// with the golden run.
+// they are not comparable) and the dropped packet keeps its slot in the
+// sequence, so later packets still line up with the golden run.
 func (r *Recorder) DropPacket() {
-	r.current = PacketRecord{}
-	r.Packets = append(r.Packets, PacketRecord{Dropped: true})
+	switch {
+	case r == nil:
+	case r.chk.golden != nil:
+		r.chk.dropPacket()
+	default:
+		start := r.start(len(r.ends))
+		r.ids, r.vals = r.ids[:start], r.vals[:start]
+		r.dropped = append(r.dropped, uint32(len(r.ends)))
+		r.ends = append(r.ends, uint32(start))
+	}
 }
 
-// Reset clears everything for a fresh run.
-func (r *Recorder) Reset() { *r = Recorder{inInit: true} }
+// Reset clears everything recorded, or checked, for a fresh run; a
+// checker keeps its golden stream.
+func (r *Recorder) Reset() {
+	if g := r.chk.golden; g != nil {
+		*r = *NewChecker(g)
+		return
+	}
+	*r = Recorder{inInit: true}
+}
+
+// Packets returns the number of packets recorded, completed or dropped.
+func (r *Recorder) Packets() int { return len(r.ends) }
+
+// Init returns the recorded control-plane observations.
+func (r *Recorder) Init() []Observation { return r.view(0, r.initLen()) }
+
+// Packet returns the recorded observations of packet p; a dropped packet
+// has none.
+func (r *Recorder) Packet(p int) []Observation { return r.view(r.start(p), int(r.ends[p])) }
+
+func (r *Recorder) view(from, to int) []Observation {
+	obs := make([]Observation, 0, to-from)
+	for k := from; k < to; k++ {
+		obs = append(obs, Observation{r.names[r.ids[k]], r.vals[k]})
+	}
+	return obs
+}
+
+// initLen is the number of recorded control-plane observations: all of
+// them while the control plane is still running.
+func (r *Recorder) initLen() int {
+	if r.inInit {
+		return len(r.ids)
+	}
+	return r.initEnd
+}
+
+// start is the offset of packet p's first recorded observation.
+func (r *Recorder) start(p int) int {
+	if p == 0 {
+		return r.initLen()
+	}
+	return int(r.ends[p-1])
+}
+
+// check is the state of a checker: a cursor into the golden stream, the
+// current packet's tallies, staged until the packet ends because a drop
+// discards them, and the Report folded so far.
+type check struct {
+	golden *Recorder
+
+	initSeen int // control-plane observations made
+	initBad  bool
+	init     StructCount
+
+	pkt      int           // packets ended or dropped so far
+	pos, end int           // the golden observations of packet pkt still unmatched
+	want     int           // golden observations of packet pkt; -1 past the golden stream
+	seen     int           // observations packet pkt has made
+	shapeBad bool          // a name diverged: packet pkt's comparison stopped there
+	valueBad bool          // a compared value mismatched
+	stage    []StructCount // packet pkt's tallies, by golden name id
+
+	tally                           []StructCount // completed packets' tallies, by golden name id
+	shape                           StructCount
+	processed, dropped, packetsWith int
+}
+
+// observeInit compares control-plane observation initSeen with the
+// golden one; a surplus one only counts towards the length mismatch.
+//
+//lint:hot-path
+func (c *check) observeInit(name string, v uint64) {
+	g, i := c.golden, c.initSeen
+	c.initSeen++
+	if i >= g.initLen() {
+		return
+	}
+	c.init.Total++
+	if g.names[g.ids[i]] != name || g.vals[i] != v {
+		c.init.Errors++
+		c.initBad = true
+	}
+}
+
+// observe compares one data-plane observation with the golden one at the
+// cursor. A diverging name ends the packet's comparison, and an
+// observation past the golden packet's last is only counted.
+//
+//lint:hot-path
+func (c *check) observe(name string, v uint64) {
+	c.seen++
+	if c.shapeBad || c.pos >= c.end {
+		return
+	}
+	g, k := c.golden, c.pos
+	id := g.ids[k]
+	if g.names[id] != name {
+		c.shapeBad = true
+		return
+	}
+	c.pos++
+	c.stage[id].Total++
+	if g.vals[k] != v {
+		c.stage[id].Errors++
+		c.valueBad = true
+	}
+}
+
+// endPacket folds the completed packet: its staged tallies, its
+// control-flow tally (a name diverged, or the observation counts differ)
+// and whether it carried any error.
+//
+//lint:hot-path
+func (c *check) endPacket() {
+	if c.want >= 0 {
+		for id, s := range c.stage {
+			c.tally[id].Errors += s.Errors
+			c.tally[id].Total += s.Total
+		}
+		shapeBad := c.shapeBad || c.seen != c.want
+		c.shape.Total++
+		if shapeBad {
+			c.shape.Errors++
+		}
+		if shapeBad || c.valueBad {
+			c.packetsWith++
+		}
+	}
+	c.processed++
+	c.seek(c.pkt + 1)
+}
+
+// dropPacket discards the dropped packet's staged tallies: a contained
+// drop is accounted by Fallibility and DropRate, not by comparison.
+//
+//lint:hot-path
+func (c *check) dropPacket() {
+	c.dropped++
+	c.seek(c.pkt + 1)
+}
+
+// seek starts packet p: its golden observations and empty tallies.
+//
+//lint:hot-path
+func (c *check) seek(p int) {
+	g := c.golden
+	c.pkt, c.seen, c.shapeBad, c.valueBad = p, 0, false, false
+	clear(c.stage)
+	if p < len(g.ends) {
+		c.pos, c.end = g.start(p), int(g.ends[p])
+		c.want = c.end - c.pos
+	} else {
+		c.pos, c.end, c.want = 0, 0, -1
+	}
+}
+
+// Report returns the comparison folded so far by a checker (see
+// NewChecker). It panics on a recorder that checks nothing.
+func (r *Recorder) Report() Report {
+	c := &r.chk
+	g := c.golden
+	if g == nil {
+		panic("metrics: Report of a recorder that checks nothing")
+	}
+	rep := Report{
+		GoldenPackets: len(g.ends),
+		Processed:     c.processed,
+		Dropped:       c.dropped,
+		Fatal:         c.processed+c.dropped < len(g.ends),
+		PacketsWith:   c.packetsWith,
+		InitMismatch:  c.initBad || c.initSeen != g.initLen(),
+		PerStructure:  make(map[string]StructCount),
+	}
+	// An application may name a structure like a synthetic series; its
+	// tallies then merge, as Compare's do.
+	add := func(name string, s StructCount) {
+		if s.Total == 0 {
+			return
+		}
+		t := rep.PerStructure[name]
+		t.Errors += s.Errors
+		t.Total += s.Total
+		rep.PerStructure[name] = t
+	}
+	add(InitErrorName, c.init)
+	add(ShapeErrorName, c.shape)
+	for id, s := range c.tally {
+		add(g.names[id], s)
+	}
+	return rep
+}
 
 // InitErrorName is the synthetic structure name under which initialisation
 // (control-plane) mismatches are reported, matching the "Initialization
@@ -105,21 +372,15 @@ type Report struct {
 	PerStructure  map[string]StructCount
 }
 
-// Compare matches the faulty recorder against the golden one.
+// Compare matches two recorded streams (both made by NewRecorder) after
+// the fact. It is the reference a checker's streaming Report is tested
+// against.
 func Compare(golden, faulty *Recorder) Report {
-	completed, dropped := 0, 0
-	for i := range faulty.Packets {
-		if faulty.Packets[i].Dropped {
-			dropped++
-		} else {
-			completed++
-		}
-	}
 	rep := Report{
-		GoldenPackets: len(golden.Packets),
-		Processed:     completed,
-		Dropped:       dropped,
-		Fatal:         len(faulty.Packets) < len(golden.Packets),
+		GoldenPackets: golden.Packets(),
+		Processed:     faulty.Packets() - len(faulty.dropped),
+		Dropped:       len(faulty.dropped),
+		Fatal:         faulty.Packets() < golden.Packets(),
 		PerStructure:  make(map[string]StructCount),
 	}
 	bump := func(name string, mismatch bool) {
@@ -130,18 +391,16 @@ func Compare(golden, faulty *Recorder) Report {
 		}
 		rep.PerStructure[name] = c
 	}
+	name := func(r *Recorder, k int) string { return r.names[r.ids[k]] }
 
 	initBad := false
-	n := len(golden.Init)
-	if len(faulty.Init) != n {
+	n := golden.initLen()
+	if faulty.initLen() != n {
 		initBad = true
-		if len(faulty.Init) < n {
-			n = len(faulty.Init)
-		}
+		n = min(n, faulty.initLen())
 	}
 	for i := 0; i < n; i++ {
-		g, f := golden.Init[i], faulty.Init[i]
-		bad := g.Name != f.Name || g.Value != f.Value
+		bad := name(golden, i) != name(faulty, i) || golden.vals[i] != faulty.vals[i]
 		bump(InitErrorName, bad)
 		if bad {
 			initBad = true
@@ -149,29 +408,31 @@ func Compare(golden, faulty *Recorder) Report {
 	}
 	rep.InitMismatch = initBad
 
-	for p := 0; p < len(faulty.Packets) && p < rep.GoldenPackets; p++ {
-		if faulty.Packets[p].Dropped {
+	dropped := faulty.dropped
+	for p := 0; p < faulty.Packets() && p < rep.GoldenPackets; p++ {
+		if len(dropped) > 0 && int(dropped[0]) == p {
 			// A contained fatal error: no observations to compare; the drop
 			// itself is accounted by Fallibility and DropRate.
+			dropped = dropped[1:]
 			continue
 		}
-		g, f := golden.Packets[p].Obs, faulty.Packets[p].Obs
+		g, f := golden.start(p), faulty.start(p)
+		gn, fn := int(golden.ends[p])-g, int(faulty.ends[p])-f
 		pktBad := false
 		shapeBad := false
-		m := len(g)
-		if len(f) != m {
+		m := gn
+		if fn != m {
 			shapeBad = true
-			if len(f) < m {
-				m = len(f)
-			}
+			m = min(m, fn)
 		}
 		for i := 0; i < m; i++ {
-			if g[i].Name != f[i].Name {
+			gName := name(golden, g+i)
+			if gName != name(faulty, f+i) {
 				shapeBad = true
 				break
 			}
-			bad := g[i].Value != f[i].Value
-			bump(g[i].Name, bad)
+			bad := golden.vals[g+i] != faulty.vals[f+i]
+			bump(gName, bad)
 			if bad {
 				pktBad = true
 			}

@@ -2,6 +2,8 @@ package packet
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -196,5 +198,50 @@ func TestTraceTTLRange(t *testing.T) {
 		if p.TTL < 32 {
 			t.Fatalf("TTL %d below minimum", p.TTL)
 		}
+	}
+}
+
+// TestTraceBytesPinned pins every generated header and payload byte of a
+// mixed HTTP/binary trace with empty payloads, and of a one-packet trace,
+// to digests recorded before payloads moved into per-trace arenas: the
+// arena changes where payloads live, never their bytes or the RNG draws.
+func TestTraceBytesPinned(t *testing.T) {
+	for _, c := range []struct {
+		cfg  TraceConfig
+		want string
+	}{
+		{TraceConfig{Packets: 3000, Flows: 64, PayloadMin: 0, PayloadMax: 1500, HTTPFraction: 0.5, Seed: 11},
+			"ef25651c9a9bf5aabedaca3740eb28eb4e00b3ecb9c7e7de6842c8394f2d122e"},
+		{TraceConfig{Packets: 1, Flows: 4, PayloadMin: 10, PayloadMax: 20, HTTPFraction: 1, Seed: 3},
+			"0e0b3e359ee1cc97fc922c84932037e564a388e5dffa5de990f8d9174e18a32f"},
+	} {
+		h := sha256.New()
+		tr := MustGenerate(c.cfg)
+		for i := range tr.Packets {
+			hdr := tr.Packets[i].Header()
+			h.Write(hdr[:])
+			h.Write(tr.Packets[i].Payload)
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != c.want {
+			t.Errorf("%+v: trace digest %s, want %s", c.cfg, got, c.want)
+		}
+	}
+}
+
+// TestPayloadsCapacityClipped: payloads share arena chunks, so each must
+// end at its own length; an append to one then copies it instead of
+// writing into its neighbour.
+func TestPayloadsCapacityClipped(t *testing.T) {
+	tr := MustGenerate(TraceConfig{Packets: 400, Flows: 16, PayloadMin: 0, PayloadMax: 300, HTTPFraction: 0.5, Seed: 2})
+	for i := range tr.Packets {
+		p := tr.Packets[i].Payload
+		if p == nil || cap(p) != len(p) {
+			t.Fatalf("packet %d: payload len %d cap %d (nil %v)", i, len(p), cap(p), p == nil)
+		}
+	}
+	next := bytes.Clone(tr.Packets[1].Payload)
+	_ = append(tr.Packets[0].Payload, 0xff, 0xff, 0xff, 0xff)
+	if !bytes.Equal(tr.Packets[1].Payload, next) {
+		t.Fatal("appending to a payload overwrote the next one")
 	}
 }

@@ -2,7 +2,7 @@ package packet
 
 import (
 	"errors"
-	"fmt"
+	"strconv"
 
 	"clumsy/internal/fault"
 )
@@ -109,21 +109,30 @@ func Generate(cfg TraceConfig) (*Trace, error) {
 
 	z := newZipf(cfg.Flows, s)
 	tr := &Trace{Packets: make([]Packet, cfg.Packets)}
+	var a arena
+	var req []byte // the current HTTP request line and Host header
+	meanSize := (cfg.PayloadMin + cfg.PayloadMax + 1) / 2
 	for i := 0; i < cfg.Packets; i++ {
 		f := flows[z.sample(rng)]
 		size := cfg.PayloadMin
 		if cfg.PayloadMax > cfg.PayloadMin {
 			size += rng.Intn(cfg.PayloadMax - cfg.PayloadMin + 1)
 		}
+		rest := (cfg.Packets - i) * meanSize
 		var payload []byte
 		if f.http {
-			payload = []byte(fmt.Sprintf("GET %s HTTP/1.0\r\nHost: sw%d.example\r\n\r\n",
-				paths[f.urlIdx], f.dst&0xff))
-			for len(payload) < size {
-				payload = append(payload, byte('a'+len(payload)%26))
+			req = append(req[:0], "GET "...)
+			req = append(req, paths[f.urlIdx]...)
+			req = append(req, " HTTP/1.0\r\nHost: sw"...)
+			req = strconv.AppendUint(req, uint64(f.dst&0xff), 10)
+			req = append(req, ".example\r\n\r\n"...)
+			payload = a.alloc(max(len(req), size), rest)
+			n := copy(payload, req)
+			for j := n; j < len(payload); j++ {
+				payload[j] = byte('a' + j%26)
 			}
 		} else {
-			payload = make([]byte, size)
+			payload = a.alloc(size, rest)
 			for j := range payload {
 				payload[j] = byte(rng.Uint32())
 			}
@@ -139,6 +148,27 @@ func Generate(cfg TraceConfig) (*Trace, error) {
 		}
 	}
 	return tr, nil
+}
+
+// arenaChunk is the largest payload arena chunk Generate allocates.
+const arenaChunk = 64 << 10
+
+// arena carves a trace's payloads out of a few large chunks instead of one
+// allocation each. Chunks are sized to what the rest of the trace is
+// expected to need, up to arenaChunk, so a short trace allocates about
+// its payload bytes.
+type arena struct{ buf []byte }
+
+// alloc returns n zeroed bytes whose capacity is clipped to n, so that an
+// append to one payload copies it rather than writing into the next. rest
+// is the expected size of this payload and every later one.
+func (a *arena) alloc(n, rest int) []byte {
+	if a.buf == nil || len(a.buf) < n {
+		a.buf = make([]byte, max(n, min(rest, arenaChunk)))
+	}
+	p := a.buf[:n:n]
+	a.buf = a.buf[n:]
+	return p
 }
 
 // MustGenerate is Generate for static configurations.
