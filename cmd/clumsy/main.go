@@ -24,6 +24,7 @@ import (
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"strings"
 	"syscall"
@@ -50,11 +51,9 @@ func main() {
 }
 
 // cliOpts holds every flag a command can read; each flag is bound to the
-// field it sets. Compound commands (extensions, all) hand the same options
-// to each part without re-parsing flags or re-initialising the
-// observability stack.
+// field it sets.
 type cliOpts struct {
-	opt   experiment.Options // study scale and campaign (studyFlags)
+	opt   experiment.Options // study scale and campaign (studyFlags), grid monitor (-progress)
 	cfg   clumsy.Config      // one simulation (runFlags); trace reads Packets and Seed
 	fleet cluster.Config     // one fleet simulation (fleetFlags)
 	wl    workload.Spec      // workload v2; the zero Spec is the canonical trace
@@ -115,28 +114,16 @@ type command struct {
 type group func(fs *flag.FlagSet, o *cliOpts)
 
 // commands is the command table, in the order `clumsy list` prints it.
+// Each study command runs its entry of the experiment package's study
+// table (see studyCmds).
 func commands() []command {
-	figure := []group{formatFlags}
 	grid := []group{formatFlags, studyFlags}
-	perApp := []group{formatFlags, studyFlags, appFlag("route")}
 	sim := []group{appFlag("route"), runFlags, workloadFlags}
-	return []command{
-		{"fig1b", "voltage swing vs cycle time (circuit model)", figure, figureCmd(experiment.Fig1b)},
-		{"fig2b", "SRAM noise-immunity curves", figure, figureCmd(experiment.Fig2b)},
-		{"fig3", "switching-combination noise distribution", figure, figureCmd(experiment.Fig3)},
-		{"fig4", "fault probability vs voltage swing", figure, figureCmd(experiment.Fig4)},
-		{"fig5", "fault probability vs cycle time + fitted formula (Eq. 4)", figure, figureCmd(experiment.Fig5)},
-		{"table1", "application properties and fallibility factors", grid, study(experiment.Table1, experiment.Table1Render)},
-		{"fig6", "route error probabilities (control/data/both planes)", perApp, errorFigure("Figure 6")},
-		{"fig7", "nat error probabilities (control/data/both planes)",
-			[]group{formatFlags, studyFlags, appFlag("nat")}, errorFigure("Figure 7")},
-		{"fig8", "fatal error probabilities per application", grid, study(experiment.Fig8, experiment.Fig8Render)},
-		{"fig9", "EDF^2 panels: route, crc", grid, edfFigure("9", "route", "crc")},
-		{"fig10", "EDF^2 panels: md5, tl", grid, edfFigure("10", "md5", "tl")},
-		{"fig11", "EDF^2 panels: drr, nat", grid, edfFigure("11", "drr", "nat")},
-		{"fig12", "EDF^2 panels: url, average of all applications", grid, edfFigure("12", "url", "average")},
-		{"all", "everything above in paper order, closed by the verify table", []group{studyFlags}, allExperiments},
-		{"verify", "check the paper's headline claims programmatically (exit 1 on failure)", grid, verify},
+	cmds := studyCmds([]group{formatFlags}, "fig1b", "fig2b", "fig3", "fig4", "fig5")
+	cmds = append(cmds, studyCmds(grid, "table1", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12")...)
+	cmds = append(cmds, studyCmds([]group{studyFlags}, "all")...)
+	cmds = append(cmds, studyCmds(grid, "verify")...)
+	cmds = append(cmds, []command{
 		{"run", "one simulation and its full report", sim, runCmd},
 		{"stats", "one simulation like run, then dump the telemetry counter registry",
 			[]group{appFlag("route"), runFlags, workloadFlags, formatFlags, describeFlag}, stats},
@@ -144,17 +131,34 @@ func commands() []command {
 		{"fleet", "fleet-scale serving on the virtual-time cluster simulator: the degradation study, or one fleet simulation with -faulty N",
 			[]group{formatFlags, studyFlags, appFlag("route"), fleetFlags, workloadFlags}, fleetCmd},
 		{"list", "this text", nil, func(_ *cliOpts, w io.Writer) error { usage(w); return nil }},
-		{"ecc", "extension: SEC-DED error correction vs parity vs no detection", perApp, appStudy(experiment.ExtDetection, experiment.ExtDetectionRender)},
-		{"subblock", "extension: sub-block (per-word) recovery vs full-line invalidation", perApp, appStudy(experiment.ExtSubBlock, experiment.ExtSubBlockRender)},
-		{"exponents", "extension: sensitivity of the winner to the EDF metric weights", perApp, appStudy(experiment.ExtExponents, experiment.ExtExponentsRender)},
-		{"dvs", "extension: conventional voltage scaling vs clumsy over-clocking", perApp, appStudy(experiment.ExtDVS, experiment.ExtDVSRender)},
-		{"geometry", "extension: L1 data cache size ablation", perApp, appStudy(experiment.ExtGeometry, experiment.ExtGeometryRender)},
-		{"tuning", "extension: dynamic-controller threshold study (the paper's X1/X2 choice)", perApp, appStudy(experiment.ExtTuning, experiment.ExtTuningRender)},
-		{"media", "extension: the claim beyond networking, an EDF grid for an IMA ADPCM codec", grid, media},
-		{"extensions", "all seven extension studies", perApp, extensions},
-		{"reliability", "fault regime x recovery policy sweep over every application, plus the graceful-degradation curve for -app", perApp, reliability},
-		{"state", "state-integrity study for the stateful apps (fw, flowtrack): regime x scrub interval x workload shape", grid, state},
+	}...)
+	return append(cmds, studyCmds(grid, "ecc", "subblock", "exponents", "dvs", "geometry", "tuning", "media",
+		"extensions", "reliability", "state", "edf", "errors")...)
+}
+
+// studyCmds makes a command of each named entry of the study table, with
+// the flag groups given plus -app when the study takes one (its default is
+// the study's default app).
+func studyCmds(groups []group, names ...string) []command {
+	cmds := make([]command, len(names))
+	for i, name := range names {
+		st, ok := experiment.LookupStudy(name)
+		if !ok {
+			panic("clumsy: no study " + name)
+		}
+		gs := groups
+		if st.App != "" {
+			def := st.App
+			if def == experiment.AppRequired {
+				def = ""
+			}
+			gs = append(slices.Clip(groups), appFlag(def))
+		}
+		cmds[i] = command{name, st.Help, gs, func(o *cliOpts, w io.Writer) error {
+			return experiment.RunStudy(name, o.opt, o.app, o.format, w)
+		}}
 	}
+	return cmds
 }
 
 // lookup finds a command by name.
@@ -198,8 +202,7 @@ func describeFlag(fs *flag.FlagSet, o *cliOpts) {
 	fs.BoolVar(&o.describe, "describe", false, "print the registered telemetry instrument and event names instead of running a simulation")
 }
 
-// appFlag: the application a command studies or runs, defaulting to def
-// (fig7 studies nat, every other command route).
+// appFlag: the application a command studies or runs, defaulting to def.
 func appFlag(def string) group {
 	return func(fs *flag.FlagSet, o *cliOpts) {
 		fs.StringVar(&o.app, "app", def, "`application`: "+strings.Join(append(apps.Names(), apps.Extras()...), ", "))
@@ -389,9 +392,7 @@ func run(args []string, w io.Writer) (err error) {
 		}
 	}
 	if o.progress {
-		mon := &telemetry.RunMonitor{Registry: o.tel.Registry, OnProgress: printProgress}
-		experiment.SetMonitor(mon)
-		defer experiment.SetMonitor(nil)
+		o.opt.Monitor = &telemetry.RunMonitor{Registry: o.tel.Registry, OnProgress: printProgress}
 	}
 	if o.cpuprofile != "" {
 		f, err := atomicio.Create(o.cpuprofile)
@@ -442,8 +443,9 @@ func dispatch(c command, o *cliOpts, w io.Writer) error {
 // printProgress renders one grid-progress line on stderr (carriage-return
 // updated in place, finished with a newline).
 func printProgress(p telemetry.Progress) {
-	// Drained cells (grid failure or cancellation) would otherwise vanish
-	// from the count: Done never reaches Total and the line looks stuck.
+	// Cells that never ran (grid failure or cancellation) would otherwise
+	// vanish from the count: Done never reaches Total and the line looks
+	// stuck.
 	skipped := ""
 	if p.Skipped > 0 {
 		skipped = fmt.Sprintf("  skipped=%d", p.Skipped)
@@ -452,7 +454,7 @@ func printProgress(p telemetry.Progress) {
 		p.Done, p.Total,
 		p.AvgRun.Round(time.Millisecond), p.Elapsed.Round(time.Millisecond),
 		p.Utilization()*100, skipped)
-	if p.Done >= p.Total {
+	if p.Done+p.Skipped >= p.Total {
 		fmt.Fprintln(os.Stderr)
 	}
 }
@@ -466,140 +468,11 @@ func writeHeapProfile(path string) {
 	}
 }
 
-// renderer is a table or figure.
-type renderer interface {
-	Render(w io.Writer)
-	RenderCSV(w io.Writer) error
-}
-
-// emit renders one table or figure in the -format.
-func (o *cliOpts) emit(w io.Writer, r renderer) error {
-	if o.format == "csv" {
-		return r.RenderCSV(w)
-	}
-	r.Render(w)
-	return nil
-}
-
-// emitEach renders tables, each followed by a blank line.
-func (o *cliOpts) emitEach(w io.Writer, tables []*experiment.Table) error {
-	for _, t := range tables {
-		if err := o.emit(w, t); err != nil {
-			return err
-		}
-		fmt.Fprintln(w)
-	}
-	return nil
-}
-
-// figureCmd renders one circuit-model figure.
-func figureCmd(fig func() *experiment.Figure) func(*cliOpts, io.Writer) error {
-	return func(o *cliOpts, w io.Writer) error { return o.emit(w, fig()) }
-}
-
-// study runs a whole-evaluation study and renders its table.
-func study[T any](compute func(experiment.Options) (T, error), render func(T, experiment.Options) *experiment.Table) func(*cliOpts, io.Writer) error {
-	return func(o *cliOpts, w io.Writer) error {
-		v, err := compute(o.opt)
-		if err != nil {
-			return err
-		}
-		return o.emit(w, render(v, o.opt))
-	}
-}
-
-// appStudy runs a study of the -app workload and renders its table.
-func appStudy[T any](compute func(string, experiment.Options) (T, error), render func(string, T, experiment.Options) *experiment.Table) func(*cliOpts, io.Writer) error {
-	return func(o *cliOpts, w io.Writer) error {
-		v, err := compute(o.app, o.opt)
-		if err != nil {
-			return err
-		}
-		return o.emit(w, render(o.app, v, o.opt))
-	}
-}
-
-// errorFigure renders the per-plane error sweep of the -app workload.
-func errorFigure(label string) func(*cliOpts, io.Writer) error {
-	return func(o *cliOpts, w io.Writer) error {
-		sweeps, err := experiment.ErrorBehaviour(o.app, o.opt)
-		if err != nil {
-			return err
-		}
-		return o.emitEach(w, experiment.ErrorBehaviourRender(sweeps, label, o.opt))
-	}
-}
-
-// edfFigure renders one EDF^2 figure, a panel per app; "average" is the
-// mean over the paper's applications.
-func edfFigure(fig string, panels ...string) func(*cliOpts, io.Writer) error {
-	return func(o *cliOpts, w io.Writer) error {
-		for i, app := range panels {
-			var r *experiment.EDFResult
-			if app == "average" {
-				var all []*experiment.EDFResult
-				for _, name := range apps.Names() {
-					g, err := experiment.EDFGrid(name, o.opt)
-					if err != nil {
-						return err
-					}
-					all = append(all, g)
-				}
-				r = experiment.EDFAverage(all)
-			} else {
-				var err error
-				if r, err = experiment.EDFGrid(app, o.opt); err != nil {
-					return err
-				}
-			}
-			panel := fmt.Sprintf("Figure %s(%c)", fig, 'a'+i)
-			if err := o.emit(w, experiment.EDFRender(r, panel, o.opt)); err != nil {
-				return err
-			}
-			fmt.Fprintln(w)
-		}
-		return nil
-	}
-}
-
-// media runs the EDF grid of the IMA ADPCM extension workload: the paper
-// notes its ideas apply "to any type of processor that executes
-// applications with fault resiliency (e.g., media processors)".
-func media(o *cliOpts, w io.Writer) error {
-	r, err := experiment.EDFGrid("adpcm", o.opt)
-	if err != nil {
-		return err
-	}
-	return o.emit(w, experiment.EDFRender(r, "Extension: media processor (adpcm)", o.opt))
-}
-
-func extensions(o *cliOpts, w io.Writer) error {
-	for _, name := range []string{"ecc", "subblock", "exponents", "dvs", "geometry", "tuning", "media"} {
-		c, _ := lookup(name)
-		if err := c.run(o, w); err != nil {
-			return err
-		}
-		fmt.Fprintln(w)
-	}
-	return nil
-}
-
-func reliability(o *cliOpts, w io.Writer) error {
-	cells, err := experiment.Reliability(o.opt)
-	if err != nil {
-		return err
-	}
-	if err := o.emitEach(w, experiment.ReliabilityRender(cells, o.opt)); err != nil {
-		return err
-	}
-	return appStudy(experiment.ReliabilityCurve, experiment.ReliabilityCurveRender)(o, w)
-}
-
 // fleetCmd runs one fleet simulation with -faulty N (text, or -format
 // json), otherwise the journaled fleet degradation study.
 func fleetCmd(o *cliOpts, w io.Writer) error {
 	if o.fleet.FaultyNodes < 0 {
-		return appStudy(experiment.Fleet, experiment.FleetRender)(o, w)
+		return experiment.RunStudy("fleet", o.opt, o.app, o.format, w)
 	}
 	r, err := cluster.Run(o.fleetConfig())
 	if err != nil {
@@ -609,40 +482,6 @@ func fleetCmd(o *cliOpts, w io.Writer) error {
 		return r.WriteJSON(w)
 	}
 	return r.WriteText(w)
-}
-
-// state runs the state-integrity study: flow-table corruption detection
-// and recovery for each stateful app.
-func state(o *cliOpts, w io.Writer) error {
-	for i, app := range experiment.StateApps() {
-		cells, err := experiment.StateIntegrity(app, o.opt)
-		if err != nil {
-			return err
-		}
-		if i > 0 {
-			fmt.Fprintln(w)
-		}
-		if err := o.emit(w, experiment.StateIntegrityRender(app, cells, o.opt)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func verify(o *cliOpts, w io.Writer) error {
-	claims, err := experiment.VerifyClaims(o.opt)
-	if err != nil {
-		return err
-	}
-	if err := o.emit(w, experiment.VerifyRender(claims, o.opt)); err != nil {
-		return err
-	}
-	for _, c := range claims {
-		if !c.Pass {
-			return fmt.Errorf("claim %q failed", c.Name)
-		}
-	}
-	return nil
 }
 
 func runCmd(o *cliOpts, w io.Writer) error {
@@ -818,65 +657,6 @@ func report(w io.Writer, res *clumsy.Result) error {
 			fmt.Fprintf(w, "  error[%s] = %.5f\n", name, p)
 		}
 	}
-	return nil
-}
-
-func allExperiments(o *cliOpts, w io.Writer) error {
-	opt := o.opt
-	for _, f := range []*experiment.Figure{
-		experiment.Fig1b(), experiment.Fig2b(), experiment.Fig3(),
-		experiment.Fig4(), experiment.Fig5(),
-	} {
-		f.Render(w)
-		fmt.Fprintln(w)
-	}
-	rows, err := experiment.Table1(opt)
-	if err != nil {
-		return err
-	}
-	experiment.Table1Render(rows, opt).Render(w)
-	fmt.Fprintln(w)
-	for _, app := range []string{"route", "nat"} {
-		label := "Figure 6"
-		if app == "nat" {
-			label = "Figure 7"
-		}
-		sweeps, err := experiment.ErrorBehaviour(app, opt)
-		if err != nil {
-			return err
-		}
-		for _, t := range experiment.ErrorBehaviourRender(sweeps, label, opt) {
-			t.Render(w)
-			fmt.Fprintln(w)
-		}
-	}
-	fatal, err := experiment.Fig8(opt)
-	if err != nil {
-		return err
-	}
-	experiment.Fig8Render(fatal, opt).Render(w)
-	fmt.Fprintln(w)
-	results, err := experiment.AllEDF(opt)
-	if err != nil {
-		return err
-	}
-	panels := []string{"Figure 9(a)", "Figure 9(b)", "Figure 10(a)", "Figure 10(b)",
-		"Figure 11(a)", "Figure 11(b)", "Figure 12(a)", "Figure 12(b)"}
-	order := map[string]int{"route": 0, "crc": 1, "md5": 2, "tl": 3, "drr": 4, "nat": 5, "url": 6, "average": 7}
-	for _, r := range results {
-		idx, ok := order[r.App]
-		if !ok {
-			continue
-		}
-		experiment.EDFRender(r, panels[idx], opt).Render(w)
-		fmt.Fprintln(w)
-	}
-	// Close the campaign with the programmatic claims verdict.
-	claims, err := experiment.VerifyClaims(opt)
-	if err != nil {
-		return err
-	}
-	experiment.VerifyRender(claims, opt).Render(w)
 	return nil
 }
 

@@ -450,6 +450,7 @@ func TestFlagSurface(t *testing.T) {
 		"ecc":    perApp, "subblock": perApp, "exponents": perApp, "dvs": perApp,
 		"geometry": perApp, "tuning": perApp, "media": study, "extensions": perApp,
 		"reliability": perApp, "state": study,
+		"edf": perApp, "errors": perApp,
 	}
 	all := map[string]bool{}
 	for _, c := range commands() {
@@ -544,7 +545,9 @@ func TestUnknownAppFailsOnce(t *testing.T) {
 }
 
 // TestServiceMatchesCLI: a clumsyd campaign's published result is byte
-// for byte the CLI's output for the same study at the same scale.
+// for byte the CLI's output for the same study at the same scale, for each
+// kind of study table entry: whole-evaluation tables, a figure panel, a
+// per-app extension, media (here in CSV), and the app-required grids.
 func TestServiceMatchesCLI(t *testing.T) {
 	svc, err := service.New(service.Config{DataDir: t.TempDir()})
 	if err != nil {
@@ -561,6 +564,11 @@ func TestServiceMatchesCLI(t *testing.T) {
 		{service.Spec{Study: "state"}, []string{"state"}},
 		{service.Spec{Study: "fleet", App: "route"}, []string{"fleet", "-app", "route"}},
 		{service.Spec{Study: "verify", Packets: 300}, []string{"verify", "-packets", "300"}},
+		{service.Spec{Study: "fig6"}, []string{"fig6"}},
+		{service.Spec{Study: "ecc", App: "crc"}, []string{"ecc", "-app", "crc"}},
+		{service.Spec{Study: "media", Format: "csv"}, []string{"media", "-format", "csv"}},
+		{service.Spec{Study: "edf", App: "nat"}, []string{"edf", "-app", "nat"}},
+		{service.Spec{Study: "errors", App: "route"}, []string{"errors", "-app", "route"}},
 	} {
 		sp := tc.spec
 		if sp.Packets == 0 {

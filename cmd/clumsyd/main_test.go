@@ -11,6 +11,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"sync"
 	"syscall"
@@ -18,6 +19,7 @@ import (
 	"time"
 
 	"clumsy/internal/atomicio"
+	"clumsy/internal/experiment"
 	"clumsy/internal/service"
 )
 
@@ -414,4 +416,18 @@ func listCampaigns(t *testing.T, d *daemon) []service.Status {
 		t.Fatal(err)
 	}
 	return sts
+}
+
+// TestUsageListsStudyTable: `clumsyd -h` exits 0 and lists every entry of
+// the study table with its help line.
+func TestUsageListsStudyTable(t *testing.T) {
+	out, err := exec.Command(clumsydBin(t), "-h").CombinedOutput()
+	if err != nil {
+		t.Fatalf("clumsyd -h: %v\n%s", err, out)
+	}
+	for _, st := range experiment.Studies() {
+		if !regexp.MustCompile(`(?m)^  ` + regexp.QuoteMeta(st.Name) + ` +` + regexp.QuoteMeta(st.Help)).Match(out) {
+			t.Errorf("usage does not list study %s with its help line:\n%s", st.Name, out)
+		}
+	}
 }

@@ -89,7 +89,7 @@ func EDFGrid(app string, o Options) (*EDFResult, error) {
 	// from the journal. Normalising after the grid completes keeps journal
 	// entries independent of completion order.
 	cells := make([]EDFCell, len(schemes)*len(settings))
-	err := parallelFor(o.ctx(), len(cells), func(idx int) error {
+	err := parallelFor(o, len(cells), func(idx int) error {
 		sch := schemes[idx/len(settings)]
 		set := settings[idx%len(settings)]
 		return runCell(o, "edf-"+app, idx, [2]string{sch.Name, set.Name}, &cells[idx], func() (EDFCell, error) {

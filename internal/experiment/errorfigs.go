@@ -28,7 +28,7 @@ func ErrorBehaviour(app string, o Options) ([]ErrorSweep, error) {
 	o = o.withDefaults()
 	planes := []clumsy.Planes{clumsy.PlaneControl, clumsy.PlaneData, clumsy.PlaneBoth}
 	out := make([]ErrorSweep, len(planes))
-	err := parallelFor(o.ctx(), len(planes), func(pi int) error {
+	err := parallelFor(o, len(planes), func(pi int) error {
 		plane := planes[pi]
 		return runCell(o, "error-"+app, pi, int(plane), &out[pi], func() (ErrorSweep, error) {
 			sweep := ErrorSweep{App: app, Plane: plane, Prob: map[string][]float64{}}
@@ -121,7 +121,7 @@ func Fig8(o Options) ([]FatalRow, error) {
 	o = o.withDefaults()
 	names := apps.Names()
 	rows := make([]FatalRow, len(names))
-	err := parallelFor(o.ctx(), len(names), func(ai int) error {
+	err := parallelFor(o, len(names), func(ai int) error {
 		name := names[ai]
 		return runCell(o, "fig8", ai, name, &rows[ai], func() (FatalRow, error) {
 			row := FatalRow{App: name}

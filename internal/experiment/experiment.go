@@ -11,6 +11,7 @@ import (
 
 	"clumsy/internal/clumsy"
 	"clumsy/internal/metrics"
+	"clumsy/internal/telemetry"
 )
 
 // Options scale the simulation experiments. The defaults trade an
@@ -61,6 +62,12 @@ type Options struct {
 	// campaign resumes byte-identically.
 	//lint:fingerprint-exempt the journal handle is where fingerprints go, not an input to them
 	Journal *Journal
+
+	// Monitor, when non-nil, receives wall-clock telemetry (per-run
+	// durations, worker utilization, progress) for every parallel grid of
+	// the study.
+	//lint:fingerprint-exempt wall-clock progress reporting, never changes a result
+	Monitor *telemetry.RunMonitor
 
 	// goldens shares the fault-free reference of every run of one study
 	// invocation: the trace and golden pass of each distinct golden key

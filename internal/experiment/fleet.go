@@ -70,7 +70,7 @@ func fleetConfig(app string, o Options, faulty int, seed uint64) cluster.Config 
 func Fleet(app string, o Options) ([]FleetCell, error) {
 	o = o.withDefaults()
 	cells := make([]FleetCell, len(FleetFracs))
-	err := parallelFor(o.ctx(), len(cells), func(idx int) error {
+	err := parallelFor(o, len(cells), func(idx int) error {
 		frac := FleetFracs[idx]
 		faulty := int(math.Round(frac * FleetNodes))
 		return runCell(o, "fleet-"+app, idx,

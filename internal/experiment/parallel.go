@@ -6,23 +6,8 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
-
-	"clumsy/internal/telemetry"
 )
-
-// gridMonitor, when set, receives wall-clock telemetry (per-run durations,
-// worker utilization, progress) for every parallel grid. The CLI installs
-// one; nil records nothing.
-var gridMonitor atomic.Pointer[telemetry.RunMonitor]
-
-// SetMonitor installs (or, with nil, removes) the wall-clock monitor
-// observed by every subsequent experiment grid.
-func SetMonitor(m *telemetry.RunMonitor) { gridMonitor.Store(m) }
-
-// Monitor returns the installed grid monitor, or nil.
-func Monitor() *telemetry.RunMonitor { return gridMonitor.Load() }
 
 // maxJoinedErrors bounds how many distinct cell failures a grid reports.
 // A campaign log should show every failing cell, but a systemic failure
@@ -30,61 +15,39 @@ func Monitor() *telemetry.RunMonitor { return gridMonitor.Load() }
 // times.
 const maxJoinedErrors = 8
 
-// parallelFor runs fn(0..n-1) across GOMAXPROCS workers. Every simulation
-// run is self-contained (its own simulated memory, RNG streams, and
-// recorder), so experiment grids parallelise trivially; results must be
-// written to index-distinct slots by fn.
+// parallelFor runs fn(0..n-1) across GOMAXPROCS workers (one worker is
+// the serial case: items run in index order). Every simulation run is
+// self-contained (its own simulated memory, RNG streams, and recorder), so
+// experiment grids parallelise trivially; results must be written to
+// index-distinct slots by fn. o.Monitor, when set, observes every item.
 //
-// The first error — or ctx becoming done — cancels the grid promptly: no
-// new indices are issued, and items already queued to a worker are
-// drained without running (each drained item is counted in the grid
-// monitor). At most one in-flight item per worker executes after the
+// The first error — or o's context becoming done — cancels the grid
+// promptly: no new indices are issued, and items already queued to a
+// worker are drained without running. Every item that does not run, drained
+// or never issued, is counted as skipped, so the monitor's Done+Skipped
+// reaches n. At most one in-flight item per worker executes after the
 // failure. The returned error joins every distinct cell failure observed
 // before the grid stopped, capped at maxJoinedErrors, so one campaign log
 // names every failing cell instead of only the first.
-func parallelFor(ctx context.Context, n int, fn func(i int) error) error {
-	mon := Monitor()
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
+func parallelFor(o Options, n int, fn func(i int) error) error {
+	mon := o.Monitor
+	workers := min(runtime.GOMAXPROCS(0), n)
+	// stop is done once the grid fails or o's context is done.
+	stop, cancel := context.WithCancel(o.ctx())
+	defer cancel()
 	// A panic in one grid cell (an application bug surfaced by an unusual
 	// seed, or a simulator defect) must not unwind a worker goroutine and
 	// crash the whole campaign: it is converted into an error carrying the
 	// grid index, and cancels the grid like any other failure.
 	runItem := func(i int) (err error) {
+		start := time.Now() //lint:wallclock-ok — wall-clock run timing for the progress monitor
 		defer func() {
 			if r := recover(); r != nil {
 				err = fmt.Errorf("experiment: panic in grid item %d: %v", i, r)
 			}
+			mon.RunDone(time.Since(start)) //lint:wallclock-ok — reporting only, never feeds simulated state
 		}()
 		return fn(i)
-	}
-	if mon != nil {
-		inner := runItem
-		runItem = func(i int) error {
-			start := time.Now() //lint:wallclock-ok — wall-clock run timing for the progress monitor
-			err := inner(i)
-			mon.RunDone(time.Since(start)) //lint:wallclock-ok — reporting only, never feeds simulated state
-			return err
-		}
-	}
-	if workers <= 1 {
-		mon.Begin(n, 1)
-		var errs []error
-		for i := 0; i < n; i++ {
-			if len(errs) > 0 || ctx.Err() != nil {
-				mon.RunSkipped()
-				continue
-			}
-			if err := runItem(i); err != nil {
-				errs = append(errs, err)
-			}
-		}
-		if len(errs) == 0 && ctx.Err() != nil {
-			return ctx.Err()
-		}
-		return errors.Join(errs...)
 	}
 	mon.Begin(n, workers)
 
@@ -92,16 +55,11 @@ func parallelFor(ctx context.Context, n int, fn func(i int) error) error {
 		wg   sync.WaitGroup
 		mu   sync.Mutex
 		errs []error
-		seen map[string]bool
+		seen = map[string]bool{}
 	)
-	next := make(chan int)
-	done := make(chan struct{})
 	fail := func(err error) {
 		mu.Lock()
-		if errs == nil {
-			seen = map[string]bool{}
-			close(done)
-		}
+		cancel()
 		// Deduplicate by message: a systemic failure hits many cells with
 		// the same text, and repeating it drowns the distinct ones.
 		if msg := err.Error(); len(errs) < maxJoinedErrors && !seen[msg] {
@@ -110,19 +68,15 @@ func parallelFor(ctx context.Context, n int, fn func(i int) error) error {
 		}
 		mu.Unlock()
 	}
+	next := make(chan int)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := range next {
-				select {
-				case <-done:
-					mon.RunSkipped() // drained without running: the grid failed
+				if stop.Err() != nil {
+					mon.RunSkipped(1) // drained without running
 					continue
-				case <-ctx.Done():
-					mon.RunSkipped() // drained without running: campaign cancelled
-					continue
-				default:
 				}
 				if err := runItem(i); err != nil {
 					fail(err)
@@ -130,20 +84,20 @@ func parallelFor(ctx context.Context, n int, fn func(i int) error) error {
 			}
 		}()
 	}
+	i := 0
 feed:
-	for i := 0; i < n; i++ {
+	for ; i < n; i++ {
 		select {
 		case next <- i:
-		case <-done:
-			break feed
-		case <-ctx.Done():
+		case <-stop.Done():
 			break feed
 		}
 	}
 	close(next)
 	wg.Wait()
-	if len(errs) == 0 && ctx.Err() != nil {
-		return ctx.Err()
+	mon.RunSkipped(n - i) // never issued
+	if err := o.ctx().Err(); len(errs) == 0 && err != nil {
+		return err
 	}
 	return errors.Join(errs...)
 }

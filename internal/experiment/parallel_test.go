@@ -18,7 +18,7 @@ func TestParallelForVisitsEveryIndex(t *testing.T) {
 	defer runtime.GOMAXPROCS(old)
 	const n = 100
 	var hits [n]int32
-	if err := parallelFor(context.Background(), n, func(i int) error {
+	if err := parallelFor(Options{}, n, func(i int) error {
 		atomic.AddInt32(&hits[i], 1)
 		return nil
 	}); err != nil {
@@ -35,7 +35,7 @@ func TestParallelForPropagatesError(t *testing.T) {
 	old := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(old)
 	boom := errors.New("boom")
-	err := parallelFor(context.Background(), 50, func(i int) error {
+	err := parallelFor(Options{}, 50, func(i int) error {
 		if i == 17 {
 			return boom
 		}
@@ -50,7 +50,7 @@ func TestParallelForSerialFallback(t *testing.T) {
 	old := runtime.GOMAXPROCS(1)
 	defer runtime.GOMAXPROCS(old)
 	order := []int{}
-	if err := parallelFor(context.Background(), 5, func(i int) error {
+	if err := parallelFor(Options{}, 5, func(i int) error {
 		order = append(order, i) // safe: serial path
 		return nil
 	}); err != nil {
@@ -64,7 +64,7 @@ func TestParallelForSerialFallback(t *testing.T) {
 }
 
 func TestParallelForZero(t *testing.T) {
-	if err := parallelFor(context.Background(), 0, func(int) error { return errors.New("never") }); err != nil {
+	if err := parallelFor(Options{}, 0, func(int) error { return errors.New("never") }); err != nil {
 		t.Fatal("zero-length loop should not invoke fn")
 	}
 }
@@ -80,7 +80,7 @@ func TestParallelForEarlyCancel(t *testing.T) {
 	boom := errors.New("boom")
 	errored := make(chan struct{})
 	var calls atomic.Int32
-	err := parallelFor(context.Background(), n, func(i int) error {
+	err := parallelFor(Options{}, n, func(i int) error {
 		calls.Add(1)
 		if i == 0 {
 			close(errored)
@@ -107,7 +107,7 @@ func TestParallelForEarlyCancel(t *testing.T) {
 func TestParallelForPanicRecovery(t *testing.T) {
 	old := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(old)
-	err := parallelFor(context.Background(), 50, func(i int) error {
+	err := parallelFor(Options{}, 50, func(i int) error {
 		if i == 23 {
 			panic("index out of range [12] with length 4")
 		}
@@ -122,7 +122,7 @@ func TestParallelForPanicRecovery(t *testing.T) {
 	}
 
 	runtime.GOMAXPROCS(1)
-	err = parallelFor(context.Background(), 3, func(i int) error {
+	err = parallelFor(Options{}, 3, func(i int) error {
 		if i == 1 {
 			panic("serial boom")
 		}
@@ -148,11 +148,9 @@ func TestParallelForMonitor(t *testing.T) {
 			t.Errorf("inconsistent progress: %d/%d", p.Done, p.Total)
 		}
 	}
-	SetMonitor(mon)
-	defer SetMonitor(nil)
 
 	const n = 64
-	if err := parallelFor(context.Background(), n, func(i int) error {
+	if err := parallelFor(Options{Monitor: mon}, n, func(i int) error {
 		time.Sleep(50 * time.Microsecond)
 		return nil
 	}); err != nil {
@@ -182,7 +180,7 @@ func TestParallelForJoinsDistinctErrors(t *testing.T) {
 	old := runtime.GOMAXPROCS(1) // serial path keeps the failure set deterministic
 	defer runtime.GOMAXPROCS(old)
 	errA := errors.New("cell 3: disk full")
-	err := parallelFor(context.Background(), 10, func(i int) error {
+	err := parallelFor(Options{}, 10, func(i int) error {
 		if i == 3 {
 			return errA
 		}
@@ -196,7 +194,7 @@ func TestParallelForJoinsDistinctErrors(t *testing.T) {
 	// distinct message; duplicates collapse.
 	runtime.GOMAXPROCS(4)
 	start := make(chan struct{})
-	err = parallelFor(context.Background(), 4, func(i int) error {
+	err = parallelFor(Options{}, 4, func(i int) error {
 		if i == 0 {
 			close(start)
 		}
@@ -215,50 +213,59 @@ func TestParallelForJoinsDistinctErrors(t *testing.T) {
 }
 
 // TestParallelForCancelledContext: a cancelled campaign context stops the
-// grid and surfaces as the context error, with the drained items counted by
-// the monitor. The skip accounting is asserted on the serial path, where
-// the set of never-run items is deterministic.
+// grid and surfaces as the context error, and every item that did not run
+// is counted as skipped, so Done+Skipped reaches n. With one worker the set
+// of never-run items is deterministic.
 func TestParallelForCancelledContext(t *testing.T) {
 	old := runtime.GOMAXPROCS(1)
 	defer runtime.GOMAXPROCS(old)
-	mon := &telemetry.RunMonitor{}
-	SetMonitor(mon)
-	defer SetMonitor(nil)
-
-	ctx, cancel := context.WithCancel(context.Background())
 	const n = 100
 	var calls atomic.Int32
-	err := parallelFor(ctx, n, func(i int) error {
-		if calls.Add(1) == 3 {
-			cancel()
+	cancelAtThird := func(cancel context.CancelFunc) func(int) error {
+		calls.Store(0)
+		return func(int) error {
+			if calls.Add(1) == 3 {
+				cancel()
+			}
+			return nil
 		}
-		return nil
-	})
+	}
+
+	mon := &telemetry.RunMonitor{}
+	ctx, cancel := context.WithCancel(context.Background())
+	err := parallelFor(Options{Ctx: ctx, Monitor: mon}, n, cancelAtThird(cancel))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if got := calls.Load(); got != 3 {
-		t.Fatalf("serial path executed %d items after cancellation at the 3rd, want exactly 3", got)
+		t.Fatalf("one worker executed %d items after cancellation at the 3rd, want exactly 3", got)
 	}
-	if p := mon.Progress(); p.Skipped != n-3 {
-		t.Fatalf("monitor counted %d skipped items, want %d", p.Skipped, n-3)
+	if p := mon.Progress(); p.Done != 3 || p.Skipped != n-3 {
+		t.Fatalf("monitor counted %d done, %d skipped, want 3 and %d", p.Done, p.Skipped, n-3)
 	}
 
-	// Parallel path: cancellation still stops the grid early and returns
-	// the context error (the exact drained count is scheduling-dependent).
+	// Four workers: cancellation still stops the grid early and returns the
+	// context error. Which items are drained and which are never issued is
+	// scheduling-dependent, but every item is counted one way or the other.
 	runtime.GOMAXPROCS(4)
-	ctx2, cancel2 := context.WithCancel(context.Background())
-	calls.Store(0)
-	err = parallelFor(ctx2, n, func(i int) error {
-		if calls.Add(1) == 3 {
-			cancel2()
-		}
-		return nil
-	})
+	mon = &telemetry.RunMonitor{}
+	var last telemetry.Progress
+	mon.OnProgress = func(p telemetry.Progress) { last = p }
+	ctx, cancel = context.WithCancel(context.Background())
+	err = parallelFor(Options{Ctx: ctx, Monitor: mon}, n, cancelAtThird(cancel))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("parallel err = %v, want context.Canceled", err)
 	}
 	if got := calls.Load(); got >= n {
 		t.Fatalf("all %d items ran despite cancellation", got)
+	}
+	p := mon.Progress()
+	if p.Done != int(calls.Load()) || p.Done+p.Skipped != n {
+		t.Fatalf("monitor counted %d done + %d skipped after %d runs, want %d in all",
+			p.Done, p.Skipped, calls.Load(), n)
+	}
+	if last.Done+last.Skipped != n {
+		t.Fatalf("last progress report %d+%d of %d: a progress line would never close",
+			last.Done, last.Skipped, n)
 	}
 }

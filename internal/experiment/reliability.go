@@ -79,7 +79,7 @@ func Reliability(o Options) ([]ReliabilityCell, error) {
 	policies := Policies()
 	perApp := len(regimes) * len(policies)
 	cells := make([]ReliabilityCell, len(names)*perApp)
-	err := parallelFor(o.ctx(), len(cells), func(idx int) error {
+	err := parallelFor(o, len(cells), func(idx int) error {
 		app := names[idx/perApp]
 		regime := regimes[(idx%perApp)/len(policies)]
 		policy := policies[idx%len(policies)]
@@ -226,7 +226,7 @@ func ReliabilityCurve(app string, o Options) ([]CurvePoint, error) {
 	ropts.Recovery = clumsy.RecoverDegrade
 
 	points := make([]CurvePoint, len(CurveFracs))
-	err := parallelFor(o.ctx(), len(points), func(idx int) error {
+	err := parallelFor(o, len(points), func(idx int) error {
 		frac := CurveFracs[idx]
 		return runCell(o, "reliability-curve-"+app, idx,
 			fmt.Sprintf("frac=%g", frac), &points[idx], func() (CurvePoint, error) {

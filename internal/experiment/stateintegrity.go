@@ -90,7 +90,7 @@ func StateIntegrity(app string, o Options) ([]StateCell, error) {
 	regimes := Regimes()
 	perRegime := len(stateScrubs) * len(stateShapes)
 	cells := make([]StateCell, len(regimes)*perRegime)
-	err := parallelFor(o.ctx(), len(cells), func(idx int) error {
+	err := parallelFor(o, len(cells), func(idx int) error {
 		regime := regimes[idx/perRegime]
 		scrub := stateScrubs[(idx%perRegime)/len(stateShapes)]
 		shape := stateShapes[idx%len(stateShapes)]

@@ -23,12 +23,12 @@ type Table1Row struct {
 // Table1 reproduces Table I: workload properties from the golden run and
 // fallibility factors at Cr = 0.5 and 0.25 (no detection, faults in both
 // planes, averaged over trials). Each application is one campaign cell:
-// journaled for resume, deadline-guarded, and retried on host failures.
+// journaled for resume and deadline-guarded.
 func Table1(o Options) ([]Table1Row, error) {
 	o = o.withDefaults()
 	names := apps.Names()
 	rows := make([]Table1Row, len(names))
-	err := parallelFor(o.ctx(), len(names), func(ai int) error {
+	err := parallelFor(o, len(names), func(ai int) error {
 		name := names[ai]
 		return runCell(o, "table1", ai, name, &rows[ai], func() (Table1Row, error) {
 			row := Table1Row{App: name}

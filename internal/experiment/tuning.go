@@ -59,7 +59,7 @@ func ExtTuning(app string, o Options) ([]TuningCell, error) {
 	}
 
 	cells := make([]TuningCell, len(TuningX1)*len(TuningX2))
-	err := parallelFor(o.ctx(), len(cells), func(idx int) error {
+	err := parallelFor(o, len(cells), func(idx int) error {
 		x1 := TuningX1[idx/len(TuningX2)]
 		x2 := TuningX2[idx%len(TuningX2)]
 		return runCell(o, "tuning-"+app, idx, [2]float64{x1, x2}, &cells[idx], func() (TuningCell, error) {

@@ -170,9 +170,6 @@ func (c *Controller) SetMinDwell(epochs int) {
 	c.sinceChange = epochs
 }
 
-// MinDwell returns the configured minimum dwell.
-func (c *Controller) MinDwell() int { return c.minDwell }
-
 // SetSpatialPolicy arms the spatial escalation triggers: maxLines bounds
 // the distinct faulting lines per epoch, maxFrac the disabled-capacity
 // fraction. A zero value disables the corresponding trigger.
@@ -299,6 +296,3 @@ func (c *Controller) PacketDone(faults uint64) (Decision, bool) {
 	}
 	return decision, true
 }
-
-// SwitchPenalty returns the per-change cycle cost.
-func (c *Controller) SwitchPenalty() float64 { return c.switchPenalty }

@@ -462,9 +462,12 @@ func (s *Service) runAttempt(ctx context.Context, c *Campaign, resume bool) (err
 	opt.Ctx = actx
 	opt.Journal = j
 	opt.RunTimeout = s.cfg.CellTimeout
-	st := studies[c.Spec.Study]
+	st, app, err := c.Spec.study()
+	if err != nil {
+		return err
+	}
 	var buf bytes.Buffer
-	if err := st.run(opt, c.Spec, &buf); err != nil {
+	if err := st.Run(opt, app, c.Spec.Format, &buf); err != nil {
 		return err
 	}
 	return atomicio.WriteFile(c.resultPath(), func(w io.Writer) error {

@@ -39,15 +39,15 @@ func newService(t *testing.T, mod func(*Config)) *Service {
 	return svc
 }
 
-// registerTestStudy installs a synthetic study for the duration of the
-// test. Tests in this package must not run in parallel while one is
-// registered (none do).
-func registerTestStudy(t *testing.T, name string, st study) {
+// registerTestStudy adds a synthetic study to the service's view of the
+// study table for the duration of the test. Tests in this package must not
+// run in parallel while one is registered (none do).
+func registerTestStudy(t *testing.T, name string, run func(o experiment.Options, app, format string, w io.Writer) error) {
 	t.Helper()
 	if _, exists := studies[name]; exists {
 		t.Fatalf("study %q already registered", name)
 	}
-	studies[name] = st
+	studies[name] = experiment.Study{Name: name, Run: run}
 	t.Cleanup(func() { delete(studies, name) })
 }
 
@@ -75,8 +75,12 @@ func renderDirect(t *testing.T, sp Spec) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
+	st, app, err := sp.study()
+	if err != nil {
+		t.Fatal(err)
+	}
 	var buf bytes.Buffer
-	if err := studies[sp.Study].run(o, sp, &buf); err != nil {
+	if err := st.Run(o, app, sp.Format, &buf); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -131,11 +135,11 @@ func TestSubmitValidates(t *testing.T) {
 // the next submission is rejected with ErrQueueFull and counted.
 func TestQueueBackpressure(t *testing.T) {
 	started := make(chan struct{}, 4)
-	registerTestStudy(t, "block", study{run: func(o experiment.Options, sp Spec, w io.Writer) error {
+	registerTestStudy(t, "block", func(o experiment.Options, _, _ string, w io.Writer) error {
 		started <- struct{}{}
 		<-o.Ctx.Done()
 		return o.Ctx.Err()
-	}})
+	})
 	svc := newService(t, func(c *Config) {
 		c.MaxConcurrent = 1
 		c.QueueDepth = 2
@@ -164,11 +168,11 @@ func TestQueueBackpressure(t *testing.T) {
 
 func TestCancelQueuedAndRunning(t *testing.T) {
 	started := make(chan struct{}, 2)
-	registerTestStudy(t, "block", study{run: func(o experiment.Options, sp Spec, w io.Writer) error {
+	registerTestStudy(t, "block", func(o experiment.Options, _, _ string, w io.Writer) error {
 		started <- struct{}{}
 		<-o.Ctx.Done()
 		return o.Ctx.Err()
-	}})
+	})
 	svc := newService(t, func(c *Config) {
 		c.MaxConcurrent = 1
 		c.QueueDepth = 4
@@ -220,16 +224,18 @@ func TestCancelQueuedAndRunning(t *testing.T) {
 // and complete with the exact output of an undisturbed run.
 func TestRestartWithResume(t *testing.T) {
 	var calls atomic.Int32
-	registerTestStudy(t, "failonce", study{run: func(o experiment.Options, sp Spec, w io.Writer) error {
-		rows, err := experiment.Table1(o)
-		if err != nil {
+	table1, _ := experiment.LookupStudy("table1")
+	registerTestStudy(t, "failonce", func(o experiment.Options, app, format string, w io.Writer) error {
+		var buf bytes.Buffer
+		if err := table1.Run(o, app, format, &buf); err != nil {
 			return err
 		}
 		if calls.Add(1) == 1 {
 			return errors.New("injected first-attempt failure")
 		}
-		return emitTable(sp, w, experiment.Table1Render(rows, o))
-	}})
+		_, err := w.Write(buf.Bytes())
+		return err
+	})
 	svc := newService(t, nil)
 	st, err := svc.Submit(Spec{Study: "failonce", Packets: 120, Trials: 1})
 	if err != nil {
@@ -263,10 +269,10 @@ func TestRestartWithResume(t *testing.T) {
 // failed after MaxRestarts+1 attempts.
 func TestRestartBudgetExhaustion(t *testing.T) {
 	var calls atomic.Int32
-	registerTestStudy(t, "alwaysfail", study{run: func(o experiment.Options, sp Spec, w io.Writer) error {
+	registerTestStudy(t, "alwaysfail", func(o experiment.Options, _, _ string, w io.Writer) error {
 		calls.Add(1)
 		return errors.New("persistent failure")
-	}})
+	})
 	svc := newService(t, func(c *Config) { c.MaxRestarts = 2 })
 	st, err := svc.Submit(Spec{Study: "alwaysfail"})
 	if err != nil {
@@ -288,9 +294,9 @@ func TestRestartBudgetExhaustion(t *testing.T) {
 // TestPanicContained: a panicking study must fail its campaign, not the
 // daemon.
 func TestPanicContained(t *testing.T) {
-	registerTestStudy(t, "panics", study{run: func(o experiment.Options, sp Spec, w io.Writer) error {
+	registerTestStudy(t, "panics", func(o experiment.Options, _, _ string, w io.Writer) error {
 		panic("study exploded")
-	}})
+	})
 	svc := newService(t, func(c *Config) { c.MaxRestarts = 1 })
 	st, err := svc.Submit(Spec{Study: "panics"})
 	if err != nil {
@@ -314,7 +320,7 @@ func TestDrainCheckpointAndAdoption(t *testing.T) {
 	dataDir := t.TempDir()
 	started := make(chan struct{}, 1)
 	var calls atomic.Int32
-	registerTestStudy(t, "blockfirst", study{run: func(o experiment.Options, sp Spec, w io.Writer) error {
+	registerTestStudy(t, "blockfirst", func(o experiment.Options, _, _ string, w io.Writer) error {
 		if calls.Add(1) == 1 {
 			started <- struct{}{}
 			<-o.Ctx.Done()
@@ -322,7 +328,7 @@ func TestDrainCheckpointAndAdoption(t *testing.T) {
 		}
 		fmt.Fprintln(w, "completed after adoption")
 		return nil
-	}})
+	})
 	svc, err := New(Config{DataDir: dataDir, RestartBackoff: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
@@ -534,11 +540,11 @@ func TestHTTPLifecycle(t *testing.T) {
 // Retry-After on a full queue, 503 from submit and readyz once draining.
 func TestHTTPBackpressureAndDrain(t *testing.T) {
 	started := make(chan struct{}, 1)
-	registerTestStudy(t, "block", study{run: func(o experiment.Options, sp Spec, w io.Writer) error {
+	registerTestStudy(t, "block", func(o experiment.Options, _, _ string, w io.Writer) error {
 		started <- struct{}{}
 		<-o.Ctx.Done()
 		return o.Ctx.Err()
-	}})
+	})
 	svc := newService(t, func(c *Config) {
 		c.MaxConcurrent = 1
 		c.QueueDepth = 1
@@ -585,22 +591,5 @@ func TestHTTPBackpressureAndDrain(t *testing.T) {
 	rresp.Body.Close()
 	if rresp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("readyz while draining: %d, want 503", rresp.StatusCode)
-	}
-}
-
-func TestStudyRegistryCoversCLIStudies(t *testing.T) {
-	for _, name := range []string{"table1", "fig8", "errors", "edf", "reliability", "fleet", "state", "verify"} {
-		if _, ok := studies[name]; !ok {
-			t.Errorf("study registry missing %q", name)
-		}
-		if StudyHelp(name) == "" && name != "block" {
-			t.Errorf("study %q has no help text", name)
-		}
-	}
-	names := StudyNames()
-	for i := 1; i < len(names); i++ {
-		if names[i-1] >= names[i] {
-			t.Fatalf("StudyNames not sorted: %v", names)
-		}
 	}
 }

@@ -195,33 +195,18 @@ func TestLoadStoreProperty(t *testing.T) {
 func TestHelpers(t *testing.T) {
 	s := newTestSpace(t)
 	a := s.MustAlloc(64, 1)
-	if err := StoreBytes(s, a, []byte{1, 2, 3}); err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, 3)
-	if err := LoadBytes(s, a, buf); err != nil {
-		t.Fatal(err)
-	}
-	if buf[0] != 1 || buf[2] != 3 {
-		t.Fatalf("LoadBytes = %v", buf)
-	}
 	if err := StoreString(s, a+8, "GET /x"); err != nil {
 		t.Fatal(err)
 	}
-	str, err := LoadString(s, a+8, 32)
-	if err != nil || str != "GET /x" {
-		t.Fatalf("LoadString = %q, %v", str, err)
+	buf := make([]byte, 7)
+	if err := s.ReadBlock(a+8, buf); err != nil {
+		t.Fatal(err)
 	}
-	// maxLen truncation
-	str, err = LoadString(s, a+8, 3)
-	if err != nil || str != "GET" {
-		t.Fatalf("truncated LoadString = %q, %v", str, err)
+	if string(buf) != "GET /x\x00" {
+		t.Fatalf("StoreString wrote %q, want the string and its NUL", buf)
 	}
 	// errors propagate
-	if err := StoreBytes(s, 2, []byte{1}); err == nil {
-		t.Error("StoreBytes into null page should fail")
-	}
-	if _, err := LoadString(s, 2, 4); err == nil {
-		t.Error("LoadString from null page should fail")
+	if err := StoreString(s, 2, "x"); err == nil {
+		t.Error("StoreString into null page should fail")
 	}
 }

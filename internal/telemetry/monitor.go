@@ -6,10 +6,11 @@ import (
 )
 
 // Progress is a snapshot of a running experiment grid, delivered to the
-// RunMonitor's OnProgress callback after every completed run.
+// RunMonitor's OnProgress callback after every completed run and every
+// batch of skipped ones.
 type Progress struct {
 	Done    int           // runs completed
-	Skipped int           // runs drained without executing after a grid failure or cancellation
+	Skipped int           // runs never executed after a grid failure or cancellation
 	Total   int           // runs in the grid
 	Workers int           // parallel workers executing the grid
 	Elapsed time.Duration // wall time since the grid started
@@ -39,9 +40,9 @@ func (p Progress) Utilization() float64 {
 // "experiment.runs" counter and the "experiment.run_ms" histogram, so grid
 // timing shows up in the same stats dump as the simulation counters.
 type RunMonitor struct {
-	// OnProgress, if non-nil, observes every completed run. It is called
-	// under the monitor's lock: keep it fast and do not re-enter the
-	// monitor.
+	// OnProgress, if non-nil, observes every completed run and every batch
+	// of skipped ones. It is called under the monitor's lock: keep it fast
+	// and do not re-enter the monitor.
 	OnProgress func(Progress)
 
 	// Registry, if non-nil, receives run-duration instruments.
@@ -92,15 +93,20 @@ func (m *RunMonitor) RunDone(d time.Duration) {
 	m.mu.Unlock()
 }
 
-// RunSkipped records one grid item that was drained without executing —
-// after the grid's first failure or a campaign cancellation the remaining
-// queued items are skipped, and a campaign log should say how many.
-func (m *RunMonitor) RunSkipped() {
-	if m == nil {
+// RunSkipped records n grid items that were never executed — after the
+// grid's first failure or a campaign cancellation the remaining items are
+// skipped, and a campaign log should say how many. Like RunDone it
+// reports progress, so a grid that stops early still reaches
+// Done+Skipped == Total on its last callback.
+func (m *RunMonitor) RunSkipped(n int) {
+	if m == nil || n <= 0 {
 		return
 	}
 	m.mu.Lock()
-	m.skipped++
+	m.skipped += n
+	if cb := m.OnProgress; cb != nil {
+		cb(m.progressLocked())
+	}
 	m.mu.Unlock()
 }
 
